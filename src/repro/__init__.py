@@ -50,33 +50,67 @@ All errors raised at the API boundary derive from
 :class:`~repro.errors.ReproError`; see :mod:`repro.errors`.
 """
 
-from repro.api import ALGORITHMS, mine_association_rules, mine_frequent_itemsets
-from repro.config import MiningConfig
-from repro.core.result import IterationStats, MiningResult
-from repro.core.rules import Rule, generate_rules
-from repro.core.setm import setm
-from repro.core.setm_columnar import setm_columnar
-from repro.core.transactions import (
-    ItemCatalog,
-    Transaction,
-    TransactionDatabase,
-)
-from repro.errors import (
-    EngineOptionError,
-    InvalidConfigError,
-    InvalidSupportError,
-    ReproError,
-    ServeError,
-    UnknownAlgorithmError,
-)
-from repro.miner import Miner
-from repro.registry import (
-    EngineSpec,
-    available_engines,
-    engine_specs,
-    get_engine,
-    register_engine,
-)
+import sys
+from importlib import import_module
+
+
+def _lazy_exports(package: str, exports: dict[str, str]):
+    """PEP 562 ``__getattr__``/``__dir__`` for ``package``'s public names.
+
+    ``exports`` maps each name to the module defining it; a name is
+    imported on first access and then cached in the package namespace.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+#: Public name -> the module defining it.  Names resolve on first
+#: access, so ``import repro`` loads nothing an entry point does not
+#: use: a ``setm-columnar`` mine never imports the SQL, paged storage
+#: or baseline engines.
+_EXPORTS = {
+    "ALGORITHMS": "repro.api",
+    "mine_association_rules": "repro.api",
+    "mine_frequent_itemsets": "repro.api",
+    "MiningConfig": "repro.config",
+    "IterationStats": "repro.core.result",
+    "MiningResult": "repro.core.result",
+    "Rule": "repro.core.rules",
+    "generate_rules": "repro.core.rules",
+    "setm": "repro.core.setm",
+    "setm_columnar": "repro.core.setm_columnar",
+    "ItemCatalog": "repro.core.transactions",
+    "Transaction": "repro.core.transactions",
+    "TransactionDatabase": "repro.core.transactions",
+    "EngineOptionError": "repro.errors",
+    "InvalidConfigError": "repro.errors",
+    "InvalidSupportError": "repro.errors",
+    "ReproError": "repro.errors",
+    "ServeError": "repro.errors",
+    "UnknownAlgorithmError": "repro.errors",
+    "Miner": "repro.miner",
+    "EngineSpec": "repro.registry",
+    "available_engines": "repro.registry",
+    "engine_specs": "repro.registry",
+    "get_engine": "repro.registry",
+    "register_engine": "repro.registry",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.10.0"
 

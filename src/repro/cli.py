@@ -18,6 +18,11 @@ any Python:
   feeding to another database;
 * ``analyze`` — print the Section 3.2 / 4.3 cost analyses.
 
+``mine``, ``query`` and ``serve`` load every file through
+:func:`repro.data.ingest.load_dataset` (whole, or in ``--chunk-rows``
+chunks); an unreadable or malformed file is reported as one
+``error: ...`` line with exit code 2.
+
 Examples::
 
     python -m repro generate --dataset retail --scale 0.1 --output r.basket
@@ -48,33 +53,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
-from repro.analysis.cost_model import (
-    nested_loop_c2_cost,
-    sort_merge_page_accesses,
-    sort_merge_relation_pages,
-    strategy_speedup,
-)
-from repro.analysis.report import format_kv_block, format_table
 from repro.config import INPUT_FORMATS, MiningConfig
-from repro.core.transactions import TransactionDatabase
 from repro.errors import ReproError
 from repro.miner import Miner
-from repro.registry import available_engines, engine_specs
-from repro.data.example import paper_example_database
-from repro.data.hypothetical import generate_hypothetical_database
-from repro.data.io import (
-    read_basket_file,
-    read_sales_csv,
-    write_basket_file,
-    write_sales_csv,
-)
-from repro.data.quest import QuestConfig, generate_quest_dataset
-from repro.data.retail import generate_retail_dataset
-from repro.sql import generator as sqlgen
+from repro.registry import builtin_engine_names
+
+# Each subcommand imports the rest of what it needs (decoders, engines,
+# generators, the SQL and analysis layers) when it runs, so a ``mine``
+# loads no more of the package than its engine uses.
 
 __all__ = ["main", "build_parser"]
+
+
+def __getattr__(name: str):
+    # The whole-file readers are reachable here (perfbench's tracer
+    # wraps ``repro.cli.read_sales_csv``) without importing numpy at
+    # CLI start-up.
+    if name in ("read_basket_file", "read_sales_csv"):
+        from repro.data import io
+
+        return getattr(io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--minconf", type=float, default=0.5,
                       help="minimum confidence fraction (default 0.5)")
     mine.add_argument("--algorithm", "--engine", dest="algorithm",
-                      default="setm", choices=available_engines(),
+                      default="setm", choices=builtin_engine_names(),
                       help="mining engine (default setm); --engine is "
                            "an alias")
     mine.add_argument("--max-length", type=int, default=None,
@@ -119,15 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "files); auto picks per engine")
     mine.add_argument("--input-format", default=None,
                       choices=list(INPUT_FORMATS),
-                      help="decode the input through the streaming ingest "
-                           "layer: auto sniffs magic bytes/extension; "
-                           "parquet/arrow need the optional pyarrow "
-                           "dependency and read only the projected "
-                           "trans_id/item columns")
+                      help="input format (default auto: sniffs magic "
+                           "bytes, then the extension); parquet/arrow need "
+                           "the optional pyarrow dependency and read only "
+                           "the projected trans_id/item columns; naming a "
+                           "format also reports ingest telemetry")
     mine.add_argument("--chunk-rows", type=int, default=None, metavar="N",
-                      help="rows per ingest chunk (enables streaming "
-                           "ingest; peak ingest memory is O(chunk + "
-                           "catalog) instead of O(dataset))")
+                      help="rows per ingest chunk: stream the input in "
+                           "one bounded pass, peak ingest memory "
+                           "O(chunk + catalog) instead of O(dataset); rows "
+                           "must be grouped by ascending trans_id")
     mine.add_argument("--append", action="append", default=None,
                       metavar="FILE",
                       help="append this file's transactions onto the "
@@ -204,12 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: a private temporary directory)")
     serve.add_argument("--input-format", default=None,
                        choices=list(INPUT_FORMATS),
-                       help="stream-encode the hosted files at startup "
-                            "through the ingest layer (cuts server boot "
-                            "memory; parquet/arrow need pyarrow)")
+                       help="format of the hosted files (default auto; "
+                            "parquet/arrow need pyarrow); naming one also "
+                            "reports ingest telemetry in stats")
     serve.add_argument("--chunk-rows", type=int, default=None, metavar="N",
-                       help="rows per ingest chunk for startup "
-                            "stream-encoding (enables streaming ingest)")
+                       help="rows per ingest chunk: stream-encode the "
+                            "hosted files at startup in bounded passes")
 
     generate = commands.add_parser("generate", help="write a bundled data set")
     generate.add_argument("--dataset", required=True,
@@ -262,31 +266,45 @@ def _parse_bytes(text: str) -> int:
     return value
 
 
-def _load(path: str) -> TransactionDatabase:
-    if path.endswith(".csv"):
-        return read_sales_csv(path)
-    return read_basket_file(path)
+@contextmanager
+def _input_errors() -> Iterator[None]:
+    """Report an unreadable or malformed input file like an API error."""
+    try:
+        yield
+    except ReproError:
+        raise
+    except (OSError, ValueError, TypeError) as error:
+        raise ReproError(str(error)) from error
 
 
-def _load_streamed(
+def _load(
     path: str,
-    args: argparse.Namespace,
     *,
+    input_format: str | None = None,
+    chunk_rows: int | None = None,
     memory_budget_bytes: int | None = None,
+    telemetry: bool = False,
 ):
-    """Stream-encode ``path`` per the ``--input-format``/``--chunk-rows`` flags."""
+    """Decode and encode ``path`` in one pass into an ``EncodedDataset``.
+
+    ``chunk_rows=None`` reads the whole file (any row order); a chunk
+    size streams it with O(chunk + catalog) peak memory.  Ingest
+    telemetry is kept only when ``telemetry`` is set, i.e. when the
+    caller asked for the ingest layer by name (``--input-format``,
+    ``--chunk-rows``, appends or saved state).
+    """
     from repro.data.ingest import load_dataset
 
-    return load_dataset(
-        path,
-        input_format=args.input_format or "auto",
-        chunk_rows=args.chunk_rows,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-
-
-def _wants_streaming(args: argparse.Namespace) -> bool:
-    return args.input_format is not None or args.chunk_rows is not None
+    with _input_errors():
+        dataset = load_dataset(
+            path,
+            input_format=input_format or "auto",
+            chunk_rows=chunk_rows,
+            memory_budget_bytes=memory_budget_bytes,
+        )
+    if not telemetry:
+        dataset.stats = None
+    return dataset
 
 
 def _mining_report(result, rules) -> dict:
@@ -344,15 +362,25 @@ def _mining_report(result, rules) -> dict:
 
 
 def _cmd_mine(args: argparse.Namespace, out) -> int:
-    # Appends and incremental state both need the encoded columnar form
-    # (append_chunks / delta slicing), so they force the streamed path.
-    if _wants_streaming(args) or args.append or args.state:
-        database = _load_streamed(
-            args.input, args, memory_budget_bytes=args.memory_budget
-        )
-        for extra_path in args.append or ():
-            from repro.data.formats import open_chunk_source
+    # Naming the ingest layer (a format, a chunk size, appends or saved
+    # state) brings its telemetry and its spill budget along.
+    ingest = (
+        args.input_format is not None
+        or args.chunk_rows is not None
+        or bool(args.append)
+        or args.state is not None
+    )
+    database = _load(
+        args.input,
+        input_format=args.input_format,
+        chunk_rows=args.chunk_rows,
+        memory_budget_bytes=args.memory_budget if ingest else None,
+        telemetry=ingest,
+    )
+    for extra_path in args.append or ():
+        from repro.data.formats import open_chunk_source
 
+        with _input_errors():
             info = database.append_chunks(
                 open_chunk_source(
                     extra_path,
@@ -361,17 +389,14 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
                 ),
                 memory_budget_bytes=args.memory_budget,
             )
-            if not args.json:
-                print(
-                    f"appended {info['transactions']:,} transactions "
-                    f"({info['rows']:,} rows) from {extra_path} "
-                    f"(generation {info['generation']})",
-                    file=out,
-                )
-        num_items = len(database.catalog)
-    else:
-        database = _load(args.input)
-        num_items = len(database.distinct_items())
+        if not args.json:
+            print(
+                f"appended {info['transactions']:,} transactions "
+                f"({info['rows']:,} rows) from {extra_path} "
+                f"(generation {info['generation']})",
+                file=out,
+            )
+    num_items = len(database.catalog)
     if not args.json:
         print(
             f"{database.num_transactions:,} transactions, "
@@ -437,26 +462,23 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
 
     parsed = parse_query(args.query)
 
-    def load(path: str) -> TransactionDatabase:
+    def load(path: str):
         # The statement's own WITH options drive the load, so a quoted
         # ``FROM 'path'`` streams exactly like ``mine --chunk-rows``.
         chunk_rows = parsed.option("chunk_rows")
         input_format = parsed.option("input_format")
-        if (
-            chunk_rows is not None
-            or input_format is not None
-            or parsed.option("state") is not None
-        ):
-            from repro.data.ingest import load_dataset
+        return _load(
+            path,
+            input_format=input_format,
+            chunk_rows=chunk_rows,
+            telemetry=(
+                chunk_rows is not None
+                or input_format is not None
+                or parsed.option("state") is not None
+            ),
+        )
 
-            return load_dataset(
-                path,
-                input_format=input_format or "auto",
-                chunk_rows=chunk_rows,
-            )
-        return _load(path)
-
-    source: dict[str, TransactionDatabase] = {}
+    source: dict[str, object] = {}
     if not parsed.dataset_is_path:
         mapping: dict[str, str] = {}
         for spec in args.inputs:
@@ -511,7 +533,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     from repro.serve.server import run_server
     from repro.serve.service import MiningService
 
-    datasets: dict[str, TransactionDatabase] = {}
+    datasets: dict[str, object] = {}
     for spec in args.inputs:
         name, sep, path = spec.partition("=")
         if not sep:
@@ -519,12 +541,16 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         if name in datasets:
             print(f"error: duplicate dataset name {name!r}", file=out)
             return 2
-        if _wants_streaming(args):
-            # Stream-encode at startup: the server never materializes
-            # labelled Python transactions while loading.
-            database = _load_streamed(path, args)
-        else:
-            database = _load(path)
+        # Encoded at startup: the server never materializes labelled
+        # Python transactions while loading.
+        database = _load(
+            path,
+            input_format=args.input_format,
+            chunk_rows=args.chunk_rows,
+            telemetry=(
+                args.input_format is not None or args.chunk_rows is not None
+            ),
+        )
         datasets[name] = database
         print(
             f"hosting {name!r}: {database.num_transactions:,} transactions, "
@@ -545,6 +571,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
 def _cmd_engines(args: argparse.Namespace, out) -> int:
     """List every registered engine with its capability metadata."""
+    from repro.analysis.report import format_table
+    from repro.registry import engine_specs
+
     specs = engine_specs()
     if args.json:
         document = [
@@ -602,6 +631,12 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, out) -> int:
+    from repro.data.example import paper_example_database
+    from repro.data.hypothetical import generate_hypothetical_database
+    from repro.data.io import write_basket_file, write_sales_csv
+    from repro.data.quest import QuestConfig, generate_quest_dataset
+    from repro.data.retail import generate_retail_dataset
+
     if args.dataset == "example":
         database = paper_example_database()
     elif args.dataset == "retail":
@@ -632,6 +667,8 @@ def _cmd_generate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_sql(args: argparse.Namespace, out) -> int:
+    from repro.sql import generator as sqlgen
+
     statements = [
         sqlgen.create_sales_table(args.item_type),
         sqlgen.create_r_table(1, args.item_type),
@@ -655,6 +692,14 @@ def _cmd_sql(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_analyze(out) -> int:
+    from repro.analysis.cost_model import (
+        nested_loop_c2_cost,
+        sort_merge_page_accesses,
+        sort_merge_relation_pages,
+        strategy_speedup,
+    )
+    from repro.analysis.report import format_kv_block, format_table
+
     nested = nested_loop_c2_cost()
     merged = sort_merge_page_accesses(sort_merge_relation_pages(), 3)
     print(

@@ -216,10 +216,17 @@ class CatalogBuilder:
 
         ``remap[pid]`` is the sorted-order id of the label that was
         provisionally encoded as ``pid``; mixing incomparable label
-        types raises ``TypeError`` here, exactly as the whole-file
-        :class:`ItemCatalog` construction would.
+        types raises the ``TypeError`` :class:`TransactionDatabase`
+        construction raises for them.
         """
-        catalog = ItemCatalog(self._labels, first_id=first_id)
+        try:
+            catalog = ItemCatalog(self._labels, first_id=first_id)
+        except TypeError:
+            names = sorted({type(label).__name__ for label in self._labels})
+            raise TypeError(
+                "items must be mutually comparable; found mixed types: "
+                + ", ".join(names)
+            ) from None
         mapping = catalog.id_mapping()
         remap = [mapping[label] for label in self._labels]
         return catalog, remap

@@ -1,87 +1,51 @@
 """Data sets: the paper's example, calibrated retail data, Quest
 workloads, the hypothetical analysis database, file I/O, and the
-streaming chunked-ingest layer (:mod:`repro.data.ingest` /
-:mod:`repro.data.formats`)."""
+chunked decode-and-encode layer (:mod:`repro.data.ingest` /
+:mod:`repro.data.formats`).
 
-from repro.data.example import (
-    PAPER_C2_RULE_LINES,
-    PAPER_C3_RULE_LINES,
-    PAPER_EXAMPLE_TRANSACTIONS,
-    PAPER_MINIMUM_CONFIDENCE,
-    PAPER_MINIMUM_SUPPORT,
-    paper_example_database,
-)
-from repro.data.hypothetical import (
-    PAPER_HYPOTHETICAL,
-    HypotheticalConfig,
-    generate_hypothetical_database,
-)
-from repro.data.formats import (
-    ChunkSource,
-    ColumnChunk,
-    DecodeStats,
-    available_formats,
-    detect_format,
-    open_chunk_source,
-)
-from repro.data.ingest import (
-    EncodedDataset,
-    IngestStats,
-    load_dataset,
-    stream_encode,
-)
-from repro.data.io import (
-    read_basket_file,
-    read_sales_csv,
-    write_basket_file,
-    write_sales_csv,
-)
-from repro.data.quest import (
-    QuestConfig,
-    generate_quest_dataset,
-    t5_i2_d10k,
-    t10_i4_d10k,
-    t10_i4_d100k,
-)
-from repro.data.retail import (
-    PAPER_NUM_ITEMS,
-    PAPER_NUM_SALES_ROWS,
-    PAPER_NUM_TRANSACTIONS,
-    RetailConfig,
-    generate_retail_dataset,
-)
+Public names resolve on first access (PEP 562): loading a file does not
+import the data generators, and generating data does not import numpy.
+"""
 
-__all__ = [
-    "ChunkSource",
-    "ColumnChunk",
-    "DecodeStats",
-    "EncodedDataset",
-    "HypotheticalConfig",
-    "IngestStats",
-    "PAPER_C2_RULE_LINES",
-    "PAPER_C3_RULE_LINES",
-    "PAPER_EXAMPLE_TRANSACTIONS",
-    "PAPER_HYPOTHETICAL",
-    "PAPER_MINIMUM_CONFIDENCE",
-    "PAPER_MINIMUM_SUPPORT",
-    "PAPER_NUM_ITEMS",
-    "PAPER_NUM_SALES_ROWS",
-    "PAPER_NUM_TRANSACTIONS",
-    "QuestConfig",
-    "RetailConfig",
-    "available_formats",
-    "detect_format",
-    "generate_hypothetical_database",
-    "generate_quest_dataset",
-    "load_dataset",
-    "open_chunk_source",
-    "paper_example_database",
-    "read_basket_file",
-    "read_sales_csv",
-    "stream_encode",
-    "t10_i4_d100k",
-    "t10_i4_d10k",
-    "t5_i2_d10k",
-    "write_basket_file",
-    "write_sales_csv",
-]
+from repro import _lazy_exports
+
+#: Public name -> the module defining it.
+_EXPORTS = {
+    "PAPER_C2_RULE_LINES": "repro.data.example",
+    "PAPER_C3_RULE_LINES": "repro.data.example",
+    "PAPER_EXAMPLE_TRANSACTIONS": "repro.data.example",
+    "PAPER_MINIMUM_CONFIDENCE": "repro.data.example",
+    "PAPER_MINIMUM_SUPPORT": "repro.data.example",
+    "paper_example_database": "repro.data.example",
+    "PAPER_HYPOTHETICAL": "repro.data.hypothetical",
+    "HypotheticalConfig": "repro.data.hypothetical",
+    "generate_hypothetical_database": "repro.data.hypothetical",
+    "ChunkSource": "repro.data.formats",
+    "ColumnChunk": "repro.data.formats",
+    "DecodeStats": "repro.data.formats",
+    "available_formats": "repro.data.formats",
+    "detect_format": "repro.data.formats",
+    "open_chunk_source": "repro.data.formats",
+    "EncodedDataset": "repro.data.ingest",
+    "IngestStats": "repro.data.ingest",
+    "load_dataset": "repro.data.ingest",
+    "stream_encode": "repro.data.ingest",
+    "read_basket_file": "repro.data.io",
+    "read_sales_csv": "repro.data.io",
+    "write_basket_file": "repro.data.io",
+    "write_sales_csv": "repro.data.io",
+    "QuestConfig": "repro.data.quest",
+    "generate_quest_dataset": "repro.data.quest",
+    "t5_i2_d10k": "repro.data.quest",
+    "t10_i4_d10k": "repro.data.quest",
+    "t10_i4_d100k": "repro.data.quest",
+    "PAPER_NUM_ITEMS": "repro.data.retail",
+    "PAPER_NUM_SALES_ROWS": "repro.data.retail",
+    "PAPER_NUM_TRANSACTIONS": "repro.data.retail",
+    "RetailConfig": "repro.data.retail",
+    "generate_retail_dataset": "repro.data.retail",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

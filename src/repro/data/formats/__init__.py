@@ -1,14 +1,17 @@
 """Per-format chunk decoders with column-projection pushdown.
 
-The streaming ingest layer (:mod:`repro.data.ingest`) never reads a
-whole input file: it pulls ``(trans_id, item)`` **column batches** from
-a :class:`ChunkSource` and encodes them one bounded chunk at a time.
-This package holds the sources, one module per format:
+The ingest layer (:mod:`repro.data.ingest`) never reads a whole input
+file row by row into Python objects: it pulls ``(trans_id, item)``
+**column batches** — an int64 ``trans_id`` column plus dictionary codes
+into the batch's distinct labels (:class:`ColumnChunk`) — from a
+:class:`ChunkSource` and encodes them one batch at a time.  This
+package holds the sources, one module per format:
 
-* ``csv`` — stdlib :mod:`csv`; the file must be scanned byte-for-byte
-  (row-major format), but only the ``trans_id`` and ``item`` fields are
-  ever *decoded* — extra columns pass through untouched and the
-  decode-byte saving is recorded;
+* ``csv`` — numpy's C tokenizer, with the stdlib :mod:`csv` reader as
+  the reference for anything it rejects; the file must be scanned
+  byte-for-byte (row-major format), but only the ``trans_id`` and
+  ``item`` fields are ever *decoded* — extra columns pass through
+  untouched and the decode-byte saving is recorded;
 * ``basket`` — the paper-shaped ``trans_id: item item ...`` lines;
   every byte is projected data, so read and decoded bytes coincide;
 * ``parquet`` / ``arrow`` — real column-projection pushdown behind the
@@ -17,15 +20,13 @@ This package holds the sources, one module per format:
   (``bytes_read_reduction``) against the full file.
 
 Every source accounts its own I/O in a :class:`DecodeStats`: total file
-bytes, bytes actually read, bytes decoded into Python values, chunk and
-row counts.  Formats without ``pyarrow`` installed fail at
-:func:`open_chunk_source` time with a typed
-:class:`~repro.errors.InvalidConfigError` carrying an install hint —
-never midway through an ingest.
+bytes, bytes actually read, bytes decoded, chunk and row counts.
+Formats without ``pyarrow`` installed fail at :func:`open_chunk_source`
+time with a typed :class:`~repro.errors.InvalidConfigError` carrying an
+install hint — never midway through an ingest.
 
-The whole-file readers of :mod:`repro.data.io` delegate here (a whole
-file is just a single chunk), so each format is parsed in exactly one
-place.
+A whole-file read is a single-chunk read (``chunk_rows=None``), so each
+format is parsed in exactly one place.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar
+
+import numpy as np
 
 from repro.errors import InvalidConfigError
 
@@ -54,6 +57,10 @@ __all__ = [
 PROJECTED_COLUMNS = ("trans_id", "item")
 
 
+#: The ``trans_id`` range the int64 encoded columns hold.
+TRANS_ID_RANGE = range(-(2**63), 2**63)
+
+
 def parse_item(token: str):
     """Items that look like integers become integers; others stay strings."""
     try:
@@ -64,21 +71,75 @@ def parse_item(token: str):
 
 @dataclass
 class ColumnChunk:
-    """One decoded batch of ``SALES`` rows, as parallel columns.
+    """One decoded batch of ``SALES`` rows, as dictionary-coded columns.
 
-    ``trans_ids[i]`` pairs with ``items[i]``.  ``empty_trans_ids``
-    carries transactions that contributed *no* rows (possible in the
-    basket format, impossible in row-per-sale formats); they still
-    count toward the support denominator, so the encoder must not lose
-    them.
+    Row ``i`` is the sale ``(trans_ids[i], labels[codes[i]])``: both
+    columns are int64 arrays, and ``labels`` holds each distinct label
+    of the batch once (two codes may name equal labels after
+    :func:`parse_item` folding, e.g. ``"5"`` and ``"05"``).
+    ``empty_trans_ids`` carries transactions that contributed *no* rows
+    (possible in the basket format, impossible in row-per-sale
+    formats); they still count toward the support denominator, so the
+    encoder must not lose them.
     """
 
-    trans_ids: list[int]
-    items: list[Any]
+    trans_ids: np.ndarray
+    codes: np.ndarray
+    labels: list[Any]
     empty_trans_ids: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.trans_ids)
+
+    @property
+    def items(self) -> list[Any]:
+        """The label of every row, in row order."""
+        labels = self.labels
+        return [labels[code] for code in self.codes.tolist()]
+
+    @classmethod
+    def from_values(
+        cls,
+        trans_ids,
+        items,
+        empty_trans_ids: tuple[int, ...] = (),
+        *,
+        parse=None,
+    ) -> "ColumnChunk":
+        """Dictionary-code row-aligned ``trans_ids``/``items`` sequences.
+
+        Each distinct raw item is looked up once; ``parse`` (e.g.
+        :func:`parse_item`) then converts each distinct raw value once.
+        """
+        index: dict[Any, int] = {}
+        codes = [index.setdefault(item, len(index)) for item in items]
+        labels = list(index) if parse is None else list(map(parse, index))
+        return cls(
+            np.array(trans_ids, dtype=np.int64),
+            np.array(codes, dtype=np.int64),
+            labels,
+            tuple(empty_trans_ids),
+        )
+
+    @classmethod
+    def concat(cls, chunks: list["ColumnChunk"]) -> "ColumnChunk":
+        """One chunk holding every row of ``chunks``, in order."""
+        if len(chunks) == 1:
+            return chunks[0]
+        labels: list[Any] = []
+        codes = []
+        for chunk in chunks:
+            codes.append(chunk.codes + len(labels))
+            labels.extend(chunk.labels)
+        return cls(
+            np.concatenate(
+                [chunk.trans_ids for chunk in chunks]
+                or [np.empty(0, np.int64)]
+            ),
+            np.concatenate(codes or [np.empty(0, np.int64)]),
+            labels,
+            tuple(tid for chunk in chunks for tid in chunk.empty_trans_ids),
+        )
 
 
 @dataclass
@@ -87,10 +148,12 @@ class DecodeStats:
 
     ``bytes_read`` is what the decoder actually fetched from the file
     (for columnar formats with projection pushdown this is less than
-    ``bytes_total``); ``bytes_decoded`` is what it turned into Python
-    values (for row formats with projected *fields* this is less than
-    ``bytes_read``).  The reductions are the honest savings claims the
-    benchmark records.
+    ``bytes_total``); ``bytes_decoded`` is the UTF-8 bytes it converted
+    into values (for row formats with projected *fields* this is less
+    than ``bytes_read``) — for CSV, the data rows' bytes less each
+    field outside the projection and one delimiter per such field, so
+    a two-column file decodes every byte but its header.  The
+    reductions are the honest savings claims the benchmark records.
     """
 
     format: str
@@ -180,15 +243,10 @@ class ChunkSource:
     def _decode(self) -> Iterator[ColumnChunk]:
         raise NotImplementedError
 
-    def _emit(
-        self,
-        trans_ids: list[int],
-        items: list[Any],
-        empty_trans_ids: tuple[int, ...] = (),
-    ) -> ColumnChunk:
+    def _emit(self, chunk: ColumnChunk) -> ColumnChunk:
         self.stats.chunks += 1
-        self.stats.rows += len(trans_ids)
-        return ColumnChunk(trans_ids, items, empty_trans_ids)
+        self.stats.rows += len(chunk)
+        return chunk
 
 
 _DECODERS: dict[str, type[ChunkSource]] = {}

@@ -81,4 +81,8 @@ class ArrowChunkSource(ChunkSource):
                     trans_ids = [
                         int(value) for value in tid_slice.to_pylist()
                     ]
-                    yield self._emit(trans_ids, item_slice.to_pylist())
+                    yield self._emit(
+                        ColumnChunk.from_values(
+                            trans_ids, item_slice.to_pylist()
+                        )
+                    )

@@ -89,4 +89,4 @@ class ParquetChunkSource(ChunkSource):
                 int(value) for value in batch.column("trans_id").to_pylist()
             ]
             items = batch.column("item").to_pylist()
-            yield self._emit(trans_ids, items)
+            yield self._emit(ColumnChunk.from_values(trans_ids, items))

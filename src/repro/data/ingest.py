@@ -1,45 +1,47 @@
-"""Streaming ingest: out-of-core dictionary encode + chunked index build.
+"""Decode-and-encode: every input file becomes encoded ``R_1`` columns.
 
-The whole-file path materializes a labelled
-:class:`~repro.core.transactions.TransactionDatabase`, *then* encodes
-it, *then* builds the ``SALES`` columns — three O(dataset) residents
-before a single mining iteration runs.  :func:`stream_encode` collapses
-that to one bounded pass: it pulls ``(trans_id, item)`` column batches
-from a :class:`~repro.data.formats.ChunkSource`, dictionary-encodes
-each transaction as it completes, and appends straight onto the flat
-``R_1`` columns, so peak ingest memory is **O(chunk + catalog)** —
-and, when a ``memory_budget_bytes`` is given, the growing encoded item
-column is spilled through the existing
-:class:`~repro.core.partitioning.Partition` chunk machinery whenever it
-reaches half the budget.
+``SALES(trans_id, item)`` sorted by ``trans_id`` *is* the paper's
+``R_1``, so a loaded file goes straight into that form:
+:func:`load_dataset` pulls ``(trans_id, item)`` column batches from a
+:class:`~repro.data.formats.ChunkSource` and dictionary-encodes each
+batch with a few vectorized passes — lexsort by ``(trans_id, label)``,
+drop duplicate rows, give ids only to the batch's distinct labels —
+appending onto the flat ``R_1`` columns.  No Python object per
+transaction or per row exists on the way; :meth:`EncodedDataset.database`
+builds the classic labelled :class:`TransactionDatabase` on demand for
+the engines that want one (and for :mod:`repro.data.io`'s readers).
 
-Two problems make this more than a loop:
+``chunk_rows=None`` reads the whole file as one batch, so rows may come
+in any order and duplicates collapse.  A chunk size bounds the pass:
+peak ingest memory is **O(chunk + catalog)**, and, when a
+``memory_budget_bytes`` is given, the growing encoded item column is
+spilled through the :class:`~repro.core.partitioning.Partition` chunk
+machinery whenever it reaches half the budget.  Two problems make the
+bounded pass more than a loop:
 
 * **The sorted-id invariant.**  :class:`ItemCatalog` assigns ids in
   sorted label order (numeric id order must equal lexicographic label
-  order — the packed-key machinery depends on it), but a single pass
-  sees labels in arrival order.  The encoder therefore uses
+  order — the packed-key machinery depends on it), but a bounded pass
+  sees labels batch by batch.  The encoder therefore uses
   *provisional* first-appearance ids
   (:class:`~repro.core.transactions.CatalogBuilder`) and applies the
   final ``provisional -> sorted`` remap at the end: one vectorized
   gather over the resident column, one streamed rewrite per spilled
-  chunk.  Each transaction's labels are sorted *before* provisional
-  encoding, so the remapped rows land in exactly the whole-file order —
-  the product is byte-identical to
-  :meth:`InstanceRelation.sales_from_database`.
+  chunk.  Rows are sorted by label *before* provisional encoding, so
+  the remapped rows land in exactly the whole-file order — the product
+  is byte-identical to :meth:`InstanceRelation.sales_from_database`.
 * **The ordering contract.**  A bounded pass cannot regroup rows, so
-  input must arrive grouped by ascending ``trans_id`` (what
+  chunked input must arrive grouped by ascending ``trans_id`` (what
   ``write_sales_csv``/``write_basket_file`` and any clustered
-  relational scan produce).  Violations raise a typed
+  relational scan produce); the last transaction of a batch is carried
+  into the next, which may continue it.  Violations raise a typed
   :class:`~repro.errors.IngestError` naming the whole-file readers as
   the fallback for unsorted data.
 
 The product, :class:`EncodedDataset`, carries the catalog plus the
 physical ``R_1`` columns and quacks enough like a database
 (``num_transactions``, ``absolute_support``) that engines flagged
-``streaming_ingest`` mine it directly — no Python transaction objects
-ever exist.  For every other engine, :meth:`EncodedDataset.database`
-materializes the classic object form.
+``streaming_ingest`` mine it directly.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.core.columns import (
     COLUMN_TYPECODE,
@@ -63,14 +67,10 @@ from repro.core.transactions import (
     Transaction,
     TransactionDatabase,
     absolute_support_threshold,
+    sales_rows_to_transactions,
 )
-from repro.data.formats import ChunkSource, open_chunk_source
+from repro.data.formats import ChunkSource, ColumnChunk, open_chunk_source
 from repro.errors import IngestError
-
-try:  # pragma: no cover - exercised via the numpy/stdlib matrix
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -169,6 +169,7 @@ class EncodedDataset:
         "_num_rows",
         "_spill_root",
         "_owns_spill_root",
+        "_materialized",
     )
 
     def __init__(
@@ -203,6 +204,7 @@ class EncodedDataset:
         self._num_rows = num_rows
         self._spill_root = spill_root
         self._owns_spill_root = owns_spill_root
+        self._materialized: tuple | None = None
 
     # -- database-shaped surface ---------------------------------------------------
 
@@ -318,7 +320,11 @@ class EncodedDataset:
         base_last = (
             int(self.trans_ids[-1]) if len(self.trans_ids) else None
         )
-        encoder = _StreamEncoder(memory_budget_bytes, self._spill_root)
+        encoder = _StreamEncoder(
+            memory_budget_bytes,
+            self._spill_root,
+            ordered=source.chunk_rows is not None,
+        )
         encoder.file_prefix = f"append-{self.generation + 1:03d}-r1"
         encoder.last_tid = base_last
         encoder.row_offset = self._num_rows
@@ -327,19 +333,13 @@ class EncodedDataset:
             # Seed every existing label so the rebuilt catalog covers the
             # union even when the delta never mentions an old item.
             encoder.builder.encode(self.catalog.labels())
-            for chunk in source:
-                encoder.add_rows(chunk.trans_ids, chunk.items)
-                if chunk.empty_trans_ids:
-                    encoder.empty_tids.extend(chunk.empty_trans_ids)
-                encoder.maybe_spill()
-            encoder.finish_groups()
-            encoder.merge_empty_transactions()
+            encoder.encode(source)
             if (
                 base_last is not None
                 and len(encoder.trans_ids)
                 and encoder.trans_ids[0] <= base_last
             ):
-                # Grouped rows fail inside add_rows; this catches empty
+                # Rows fail inside add_chunk; this catches empty
                 # transactions merged in front of the delta.
                 raise IngestError(
                     f"appended trans_ids must be strictly greater than "
@@ -450,22 +450,29 @@ class EncodedDataset:
         ``decoded=True`` they are the original labels — byte-identical
         to the whole-file reader's output, which is what lets engines
         without the ``streaming_ingest`` capability mine a streamed
-        file transparently.
+        file transparently.  The last form built is kept until the
+        next append, so repeated runs of such engines build it once.
         """
-        items = self.items
-        label_of = self.catalog.label_of
-        transactions = []
-        offset = 0
-        for trans_id, run_length in zip(self.trans_ids, self.run_lengths):
-            encoded = tuple(items[offset : offset + run_length])
-            offset += run_length
-            transactions.append(
-                Transaction(
-                    trans_id,
-                    tuple(map(label_of, encoded)) if decoded else encoded,
-                )
+        key = (self.generation, decoded)
+        if self._materialized is not None and self._materialized[0] == key:
+            return self._materialized[1]
+        items = np.frombuffer(self.items, dtype=np.int64)
+        if decoded:
+            labels = np.array([None, *self.catalog.labels()], dtype=object)
+            values = labels[items].tolist()
+        else:
+            values = items.tolist()
+        run_lengths = np.frombuffer(self.run_lengths, dtype=np.int64)
+        ends = np.cumsum(run_lengths)
+        starts = ends - run_lengths
+        database = TransactionDatabase(
+            Transaction(trans_id, tuple(values[start:end]))
+            for trans_id, start, end in zip(
+                self.trans_ids, starts.tolist(), ends.tolist()
             )
-        return TransactionDatabase(transactions)
+        )
+        self._materialized = (key, database)
+        return database
 
     def close(self) -> None:
         """Delete any remaining spill chunks and the owned spill root."""
@@ -491,12 +498,24 @@ class EncodedDataset:
 
 
 class _StreamEncoder:
-    """The bounded single-pass encoder behind :func:`stream_encode`."""
+    """The one encoder behind :func:`stream_encode` and appends.
+
+    Each decoded chunk is encoded in a few vectorized passes: its
+    distinct labels are sorted once, its rows are lexsorted by
+    ``(trans_id, label)`` and de-duplicated, and only those distinct
+    labels go through the :class:`CatalogBuilder`.  ``ordered``
+    (chunked reads) demands rows grouped by ascending ``trans_id`` and
+    carries the last group of a chunk into the next one, since it may
+    continue there; a whole-file read arrives as one chunk in any
+    order.
+    """
 
     def __init__(
         self,
         memory_budget_bytes: int | None,
         spill_dir: str | os.PathLike | None,
+        *,
+        ordered: bool,
     ) -> None:
         if memory_budget_bytes is not None and (
             isinstance(memory_budget_bytes, bool)
@@ -507,14 +526,16 @@ class _StreamEncoder:
                 "memory_budget_bytes must be a positive integer or None; "
                 f"got {memory_budget_bytes!r}"
             )
+        self.ordered = ordered
         self.builder = ItemCatalog.builder()
         self.items = _column()
         self.run_lengths = _column()
         self.trans_ids = _column()
         self.partitions: list[Partition] = []
         self.empty_tids: list[int] = []
-        self.pending_tid: int | None = None
-        self.pending_labels: list = []
+        #: ``(trans_id, sorted labels)`` of a group the next chunk may
+        #: continue (ordered reads only).
+        self.tail: tuple[int, list] | None = None
         self.last_tid: int | None = None
         self.row_offset = 0
         self.spilled_chunks = 0
@@ -535,50 +556,104 @@ class _StreamEncoder:
         # shared spill root.
         self.file_prefix = "ingest-r1"
 
+    def encode(self, source: ChunkSource) -> None:
+        """Encode every chunk of ``source``, then close the framing."""
+        chunks = iter(source)
+        if not self.ordered:
+            chunks = iter([ColumnChunk.concat(list(chunks))])
+        for chunk in chunks:
+            self.add_chunk(chunk)
+            self.maybe_spill()
+        self.finish()
+        self.merge_empty_transactions()
+
     # -- transaction grouping ------------------------------------------------------
 
-    def add_rows(self, trans_ids, labels) -> None:
-        pending_tid = self.pending_tid
-        pending_labels = self.pending_labels
-        for trans_id, label in zip(trans_ids, labels):
-            if trans_id != pending_tid:
-                if pending_tid is not None:
-                    self._flush_group(pending_tid, pending_labels)
-                self._check_ascending(trans_id)
-                pending_tid = trans_id
-                pending_labels = []
-            pending_labels.append(label)
-        self.pending_tid = pending_tid
-        self.pending_labels = pending_labels
-
-    def _check_ascending(self, trans_id: int) -> None:
-        if self.last_tid is not None and trans_id <= self.last_tid:
-            raise IngestError(
-                f"streaming ingest needs rows grouped by ascending "
-                f"trans_id; trans_id {trans_id!r} arrived after "
-                f"{self.last_tid!r} (for unsorted data use the "
-                f"whole-file readers in repro.data.io)"
+    def add_chunk(self, chunk: ColumnChunk) -> None:
+        self.empty_tids.extend(chunk.empty_trans_ids)
+        tids, codes, labels = chunk.trans_ids, chunk.codes, chunk.labels
+        if not len(tids):
+            return
+        if self.ordered:
+            self._check_ascending(tids)
+        if self.tail is not None:
+            tail_tid, tail_labels = self.tail
+            self.tail = None
+            codes = np.concatenate(
+                (np.arange(len(labels), len(labels) + len(tail_labels)), codes)
             )
+            tids = np.concatenate(
+                (np.full(len(tail_labels), tail_tid, dtype=np.int64), tids)
+            )
+            labels = labels + tail_labels
+        distinct, ranks = _rank_labels(tids, codes, labels)
+        order = np.lexsort((ranks, tids))
+        tids = tids[order]
+        ranks = ranks[order]
+        fresh = np.empty(len(tids), dtype=bool)
+        fresh[0] = True
+        fresh[1:] = (tids[1:] != tids[:-1]) | (ranks[1:] != ranks[:-1])
+        tids = tids[fresh]
+        ranks = ranks[fresh]
+        if self.ordered:
+            cut = int(np.searchsorted(tids, tids[-1]))
+            self.tail = (
+                int(tids[-1]),
+                [distinct[rank] for rank in ranks[cut:].tolist()],
+            )
+            tids = tids[:cut]
+            ranks = ranks[:cut]
+        elif self.last_tid is not None and tids[0] <= self.last_tid:
+            self._out_of_order(tids[0], self.last_tid)
+        self._append_groups(tids, ranks, distinct)
 
-    def _flush_group(self, trans_id: int, labels: list) -> None:
-        try:
-            ordered = sorted(set(labels))
-        except TypeError as exc:
-            names = sorted({type(label).__name__ for label in labels})
-            raise TypeError(
-                "transaction items must be mutually comparable; found "
-                "mixed types: " + ", ".join(names)
-            ) from exc
-        self.items.extend(self.builder.encode(ordered))
-        self.run_lengths.append(len(ordered))
-        self.trans_ids.append(trans_id)
-        self.last_tid = trans_id
+    def _check_ascending(self, tids: np.ndarray) -> None:
+        first = tids[0]
+        if self.tail is not None:
+            if first < self.tail[0]:
+                self._out_of_order(first, self.tail[0])
+        elif self.last_tid is not None and first <= self.last_tid:
+            self._out_of_order(first, self.last_tid)
+        drops = np.flatnonzero(tids[1:] < tids[:-1])
+        if len(drops):
+            self._out_of_order(tids[drops[0] + 1], tids[drops[0]])
 
-    def finish_groups(self) -> None:
-        if self.pending_tid is not None:
-            self._flush_group(self.pending_tid, self.pending_labels)
-            self.pending_tid = None
-            self.pending_labels = []
+    @staticmethod
+    def _out_of_order(trans_id, previous) -> None:
+        raise IngestError(
+            f"streaming ingest needs rows grouped by ascending "
+            f"trans_id; trans_id {int(trans_id)!r} arrived after "
+            f"{int(previous)!r} (for unsorted data use the "
+            f"whole-file readers in repro.data.io)"
+        )
+
+    def _append_groups(
+        self, tids: np.ndarray, ranks: np.ndarray, distinct: list
+    ) -> None:
+        """Append sorted, de-duplicated rows as whole transactions."""
+        if not len(tids):
+            return
+        provisional = np.array(self.builder.encode(distinct), dtype=np.int64)
+        starts = np.flatnonzero(
+            np.concatenate(([True], tids[1:] != tids[:-1]))
+        )
+        self.items.frombytes(provisional[ranks].tobytes())
+        self.trans_ids.frombytes(tids[starts].tobytes())
+        self.run_lengths.frombytes(
+            np.diff(np.append(starts, len(tids))).astype(np.int64).tobytes()
+        )
+        self.last_tid = int(tids[-1])
+
+    def finish(self) -> None:
+        """Flush the carried group: no chunk can continue it now."""
+        if self.tail is not None:
+            trans_id, labels = self.tail
+            self.tail = None
+            self._append_groups(
+                np.full(len(labels), trans_id, dtype=np.int64),
+                np.arange(len(labels)),
+                labels,
+            )
 
     # -- spilling ------------------------------------------------------------------
 
@@ -628,41 +703,40 @@ class _StreamEncoder:
     def merge_empty_transactions(self) -> None:
         """Fold zero-item transactions into the run-length framing.
 
-        Both sequences are ascending (the ordering contract), so a
-        two-way merge reproduces exactly the whole-file order; any
-        duplicate or out-of-order empty trans_id fails typed here.
+        A stable sort by trans_id reproduces exactly the whole-file
+        order; on ordered reads an out-of-order empty trans_id fails
+        typed here, and a trans_id both empty and with items always
+        does.
         """
         if not self.empty_tids:
             return
-        for previous, current in zip(self.empty_tids, self.empty_tids[1:]):
-            if current <= previous:
+        empties = np.array(self.empty_tids, dtype=np.int64)
+        if self.ordered:
+            drops = np.flatnonzero(empties[1:] <= empties[:-1])
+            if len(drops):
                 raise IngestError(
                     f"streaming ingest needs rows grouped by ascending "
-                    f"trans_id; empty trans_id {current!r} arrived "
-                    f"after {previous!r}"
+                    f"trans_id; empty trans_id "
+                    f"{int(empties[drops[0] + 1])!r} arrived after "
+                    f"{int(empties[drops[0]])!r}"
                 )
-        merged_tids = _column()
-        merged_runs = _column()
-        empties = iter(self.empty_tids)
-        empty_tid = next(empties, None)
-        for trans_id, run_length in zip(self.trans_ids, self.run_lengths):
-            while empty_tid is not None and empty_tid < trans_id:
-                merged_tids.append(empty_tid)
-                merged_runs.append(0)
-                empty_tid = next(empties, None)
-            if empty_tid is not None and empty_tid == trans_id:
-                raise IngestError(
-                    f"duplicate trans_id {empty_tid!r}: appears both "
-                    "empty and with items"
-                )
-            merged_tids.append(trans_id)
-            merged_runs.append(run_length)
-        while empty_tid is not None:
-            merged_tids.append(empty_tid)
-            merged_runs.append(0)
-            empty_tid = next(empties, None)
-        self.trans_ids = merged_tids
-        self.run_lengths = merged_runs
+        trans_ids = np.frombuffer(self.trans_ids, dtype=np.int64)
+        clash = np.intersect1d(empties, trans_ids)
+        if len(clash):
+            raise IngestError(
+                f"duplicate trans_id {int(clash[0])!r}: appears both "
+                "empty and with items"
+            )
+        merged = np.concatenate((trans_ids, empties))
+        order = np.argsort(merged, kind="stable")
+        runs = np.concatenate(
+            (
+                np.frombuffer(self.run_lengths, dtype=np.int64),
+                np.zeros(len(empties), dtype=np.int64),
+            )
+        )
+        self.trans_ids = _column_of(merged[order])
+        self.run_lengths = _column_of(runs[order])
 
     def remap(self) -> ItemCatalog:
         """Resolve provisional ids to the final sorted-order catalog ids."""
@@ -686,18 +760,40 @@ class _StreamEncoder:
         return catalog
 
 
+def _rank_labels(
+    tids: np.ndarray, codes: np.ndarray, labels: list
+) -> tuple[list, np.ndarray]:
+    """The sorted distinct labels, and each row's rank among them."""
+    try:
+        distinct = sorted(set(labels))
+    except TypeError:
+        # Labels that cannot be ordered fail as the object model fails:
+        # one transaction mixing them, else the dataset mixing them.
+        sales_rows_to_transactions(
+            zip(tids.tolist(), map(labels.__getitem__, codes.tolist()))
+        )
+        raise
+    position = {label: rank for rank, label in enumerate(distinct)}
+    rank_of_code = np.array(
+        [position[label] for label in labels], dtype=np.int64
+    )
+    return distinct, rank_of_code[codes]
+
+
+def _column_of(values: np.ndarray) -> array:
+    out = _column()
+    out.frombytes(np.ascontiguousarray(values, dtype=np.int64).tobytes())
+    return out
+
+
 def _remap_column(values, remap: list[int]) -> array:
     """Gather ``remap[value]`` for every value, as a fresh int64 column."""
-    if _np is not None:
-        remap_np = _np.asarray(remap, dtype=_np.int64)
-        if isinstance(values, array):
-            source = _np.frombuffer(values, dtype=_np.int64)
-        else:
-            source = _np.asarray(values, dtype=_np.int64)
-        out = _column()
-        out.frombytes(remap_np[source].tobytes())
-        return out
-    return _column(map(remap.__getitem__, values))
+    remap_np = np.asarray(remap, dtype=np.int64)
+    if isinstance(values, array):
+        source = np.frombuffer(values, dtype=np.int64)
+    else:
+        source = np.asarray(values, dtype=np.int64)
+    return _column_of(remap_np[source])
 
 
 def stream_encode(
@@ -706,31 +802,33 @@ def stream_encode(
     memory_budget_bytes: int | None = None,
     spill_dir: str | os.PathLike | None = None,
 ) -> EncodedDataset:
-    """Dictionary-encode a chunked source into an :class:`EncodedDataset`.
+    """Dictionary-encode a source into an :class:`EncodedDataset`.
 
-    One pass over the input: transactions are normalized (labels
-    de-duplicated and sorted) and provisionally encoded as they
-    complete; with a ``memory_budget_bytes`` the growing encoded column
-    spills as :class:`Partition` chunks whenever it reaches half the
-    budget, so peak resident ingest state is O(chunk + catalog).  The
-    final remap pass (provisional first-appearance ids to sorted
-    catalog ids) restores the :class:`ItemCatalog` id-order invariant,
-    making the product byte-identical to the whole-file encode.
+    A source with ``chunk_rows=None`` is encoded as one batch: rows may
+    come in any order and duplicate rows collapse.  A chunked source is
+    one bounded pass over rows grouped by ascending ``trans_id``; with
+    a ``memory_budget_bytes`` the growing encoded column spills as
+    :class:`Partition` chunks whenever it reaches half the budget, so
+    peak resident ingest state is O(chunk + catalog).  The final remap
+    pass (provisional first-appearance ids to sorted catalog ids)
+    restores the :class:`ItemCatalog` id-order invariant, making the
+    product byte-identical to the whole-file encode.
 
     Raises
     ------
     IngestError
-        Rows not grouped by ascending ``trans_id``, a duplicate group,
-        or an invalid ``memory_budget_bytes``.
+        Chunked rows not grouped by ascending ``trans_id``, a trans_id
+        both empty and with items, or an invalid
+        ``memory_budget_bytes``.
+    ValueError
+        A malformed input line (from the decoder).
+    TypeError
+        Item labels that cannot be ordered against each other.
     """
-    encoder = _StreamEncoder(memory_budget_bytes, spill_dir)
-    for chunk in source:
-        encoder.add_rows(chunk.trans_ids, chunk.items)
-        if chunk.empty_trans_ids:
-            encoder.empty_tids.extend(chunk.empty_trans_ids)
-        encoder.maybe_spill()
-    encoder.finish_groups()
-    encoder.merge_empty_transactions()
+    encoder = _StreamEncoder(
+        memory_budget_bytes, spill_dir, ordered=source.chunk_rows is not None
+    )
+    encoder.encode(source)
     catalog = encoder.remap()
 
     decode_stats = source.stats
@@ -776,8 +874,10 @@ def load_dataset(
     memory_budget_bytes: int | None = None,
     spill_dir: str | os.PathLike | None = None,
 ) -> EncodedDataset:
-    """Stream-encode a transaction file in one call.
+    """Decode and encode a transaction file in one call.
 
+    ``chunk_rows=None`` reads the whole file at once, in any row order;
+    a chunk size streams it (see :func:`stream_encode`).
     ``input_format`` of ``"auto"`` sniffs magic bytes and extension
     (see :func:`repro.data.formats.detect_format`); ``parquet`` and
     ``arrow`` need the optional ``pyarrow`` dependency and fail typed

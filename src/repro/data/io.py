@@ -14,10 +14,13 @@ Items round-trip as strings unless they look like integers, in which case
 they come back as ``int`` — matching the generators, which use integer
 items throughout.
 
-The *parsing* lives in :mod:`repro.data.formats` — these whole-file
-readers are thin consumers of the same chunk decoders the streaming
-ingest layer drives (a whole-file read is just a single-chunk read), so
-a format quirk is fixed in exactly one place.
+Both readers are one call: :func:`repro.data.ingest.load_dataset` with
+``chunk_rows=None`` decodes the whole file straight into encoded
+``R_1`` columns (any row order, duplicate rows collapse), and
+:meth:`~repro.data.ingest.EncodedDataset.database` materializes the
+labelled :class:`TransactionDatabase` from them.  So parsing lives in
+:mod:`repro.data.formats` and encoding in :mod:`repro.data.ingest`,
+each in exactly one place, whatever the caller asks for.
 """
 
 from __future__ import annotations
@@ -25,13 +28,9 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from repro.core.transactions import (
-    TransactionDatabase,
-    sales_rows_to_transactions,
-)
+from repro.core.transactions import TransactionDatabase
 from repro.data.formats import parse_item as _parse_item  # noqa: F401  (re-export)
-from repro.data.formats.basketfile import iter_basket_transactions
-from repro.data.formats.csvfile import CsvChunkSource
+from repro.data.ingest import load_dataset
 
 __all__ = [
     "read_basket_file",
@@ -53,11 +52,13 @@ def write_basket_file(database: TransactionDatabase, path: str | Path) -> None:
 def read_basket_file(path: str | Path) -> TransactionDatabase:
     """Read a file produced by :func:`write_basket_file`.
 
-    Blank lines and ``#`` comment lines are ignored; malformed lines raise
-    ``ValueError`` with the offending line number, and duplicate
-    trans_ids fail in :class:`TransactionDatabase` construction.
+    Blank lines and ``#`` comment lines are ignored; malformed lines
+    and duplicate trans_ids raise ``ValueError`` with the offending line
+    number or trans_id.
     """
-    return TransactionDatabase(iter_basket_transactions(path))
+    return load_dataset(path, input_format="basket", chunk_rows=None).database(
+        decoded=True
+    )
 
 
 def write_sales_csv(database: TransactionDatabase, path: str | Path) -> None:
@@ -75,11 +76,10 @@ def read_sales_csv(path: str | Path) -> TransactionDatabase:
 
     The header must *name* the ``trans_id`` and ``item`` columns; any
     extra columns are carried past undecoded (the decoder projects just
-    the two named ones).  One code path with streaming ingest: this is
-    the whole-file (single chunk) consumption of
-    :class:`~repro.data.formats.csvfile.CsvChunkSource`.
+    the two named ones).  Rows may come in any order; duplicate rows
+    collapse (the relation is a set), as
+    :func:`~repro.core.transactions.sales_rows_to_transactions` defines.
     """
-    rows: list[tuple[int, object]] = []
-    for chunk in CsvChunkSource(path):
-        rows.extend(zip(chunk.trans_ids, chunk.items))
-    return sales_rows_to_transactions(rows)
+    return load_dataset(path, input_format="csv", chunk_rows=None).database(
+        decoded=True
+    )

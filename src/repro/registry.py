@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EngineSpec",
     "available_engines",
+    "builtin_engine_names",
     "engine_specs",
     "find_engine",
     "get_engine",
@@ -52,24 +53,32 @@ __all__ = [
     "unregister_engine",
 ]
 
-#: Modules whose import registers the built-in engines.  This is the
-#: only place the built-ins are listed; each module carries its own
-#: capability metadata at the ``@register_engine`` site.
-_BUILTIN_ENGINE_MODULES = (
-    "repro.core.setm",
-    "repro.core.setm_columnar",
-    "repro.core.setm_columnar_disk",
-    "repro.core.setm_parallel",
-    "repro.core.setm_spill_parallel",
-    "repro.core.setm_disk",
-    "repro.core.setm_sql",
-    "repro.core.nested_loop",
-    "repro.sqlbridge.sqlite_miner",
-    "repro.baselines.apriori",
-    "repro.baselines.ais",
-    "repro.baselines.bruteforce",
-    "repro.core.incremental",
-)
+#: Built-in engine name -> the module whose import registers it.  This
+#: is the only place the built-ins are listed; each module carries its
+#: own capability metadata at the ``@register_engine`` site.  A lookup
+#: imports just the one module it needs.
+_BUILTIN_ENGINE_MODULES: dict[str, str] = {
+    "setm": "repro.core.setm",
+    "setm-columnar": "repro.core.setm_columnar",
+    "setm-columnar-disk": "repro.core.setm_columnar_disk",
+    "setm-parallel": "repro.core.setm_parallel",
+    "setm-spill-parallel": "repro.core.setm_spill_parallel",
+    "setm-disk": "repro.core.setm_disk",
+    "setm-sql": "repro.core.setm_sql",
+    "nested-loop": "repro.core.nested_loop",
+    "nested-loop-disk": "repro.core.nested_loop",
+    "setm-sqlite": "repro.sqlbridge.sqlite_miner",
+    "apriori": "repro.baselines.apriori",
+    "ais": "repro.baselines.ais",
+    "bruteforce": "repro.baselines.bruteforce",
+    "setm-incremental": "repro.core.incremental",
+}
+
+
+def builtin_engine_names() -> tuple[str, ...]:
+    """Sorted names of the built-in engines, without importing any."""
+    return tuple(sorted(_BUILTIN_ENGINE_MODULES))
+
 
 _REGISTRY: dict[str, "EngineSpec"] = {}
 _builtins_loaded = False
@@ -256,15 +265,27 @@ def unregister_engine(name: str) -> EngineSpec:
 
 
 def find_engine(name: str) -> EngineSpec | None:
-    """Engine ``name`` or ``None`` — the non-raising lookup."""
-    _ensure_builtin_engines()
-    return _REGISTRY.get(name)
+    """Engine ``name`` or ``None`` — the non-raising lookup.
+
+    A built-in engine costs the import of its own module only; any
+    other name loads every built-in first, so a miss is final.
+    """
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        module = _BUILTIN_ENGINE_MODULES.get(name)
+        if module is not None:
+            importlib.import_module(module)
+        else:
+            _ensure_builtin_engines()
+        spec = _REGISTRY.get(name)
+    return spec
 
 
 def get_engine(name: str) -> EngineSpec:
     """Engine ``name`` or :class:`UnknownAlgorithmError` listing the registry."""
     spec = find_engine(name)
     if spec is None:
+        _ensure_builtin_engines()
         raise UnknownAlgorithmError(name, _REGISTRY)
     return spec
 
@@ -295,7 +316,7 @@ def _ensure_builtin_engines() -> None:
         return
     _builtins_loading = True
     try:
-        for module in _BUILTIN_ENGINE_MODULES:
+        for module in dict.fromkeys(_BUILTIN_ENGINE_MODULES.values()):
             importlib.import_module(module)
         _builtins_loaded = True
     finally:

@@ -126,6 +126,10 @@ class TestAppendEquivalence:
 
         dataset = stream_encode(open_chunk_source(tmp_path / "base.basket"))
         try:
+            # The materialized form is built once per generation: the
+            # append below must not be answered from the stale one.
+            before = dataset.database(decoded=True)
+            assert dataset.database(decoded=True) is before
             info = dataset.append_chunks(
                 open_chunk_source(tmp_path / "delta.basket")
             )

@@ -89,9 +89,9 @@ class TestCsvChunkSource:
         path.write_text("trans_id,item\n1,a\n1,b\n2,a\n3,c\n")
         chunks = list(CsvChunkSource(path, chunk_rows=3))
         assert [len(c) for c in chunks] == [3, 1]
-        assert chunks[0].trans_ids == [1, 1, 2]
+        assert chunks[0].trans_ids.tolist() == [1, 1, 2]
         assert chunks[0].items == ["a", "b", "a"]
-        assert chunks[1].trans_ids == [3]
+        assert chunks[1].trans_ids.tolist() == [3]
 
     def test_integer_looking_items_become_ints(self, tmp_path):
         path = tmp_path / "sales.csv"
@@ -108,7 +108,7 @@ class TestCsvChunkSource:
         )
         source = CsvChunkSource(path)
         (chunk,) = source
-        assert chunk.trans_ids == [1, 1]
+        assert chunk.trans_ids.tolist() == [1, 1]
         assert chunk.items == ["a", "b"]
         stats = source.stats
         assert stats.columns_total == 4
@@ -118,6 +118,41 @@ class TestCsvChunkSource:
         assert 0 < stats.bytes_decoded < stats.bytes_total
         assert stats.bytes_decoded_reduction > 0.3
         assert stats.bytes_read_reduction == 0.0
+
+    def test_bytes_decoded_counts_utf8_bytes_and_crlf(self, tmp_path):
+        path = tmp_path / "sales.csv"
+        path.write_bytes(
+            "trans_id,item\r\n1,café\r\n1,thé\r\n2,café\r\n".encode()
+        )
+        source = CsvChunkSource(path)
+        list(source)
+        stats = source.stats
+        # Two projected columns cover every byte but the 15-byte
+        # header, multi-byte labels and CRLF terminators included.
+        assert stats.bytes_total == 41
+        assert stats.bytes_decoded == 26
+        assert stats.bytes_decoded_reduction == pytest.approx(15 / 41)
+
+    def test_bytes_decoded_agrees_across_decode_paths(self, tmp_path):
+        # "1_0" is a token only Python's int() accepts, so that file is
+        # decoded by the stdlib reader; "010" takes the numpy path.
+        # Same bytes, same projection, same count.
+        counts = []
+        for tid in ("010", "1_0"):
+            path = tmp_path / f"wide-{tid}.csv"
+            path.write_bytes(
+                (
+                    "store,trans_id,notes,item\r\n"
+                    f"s1,{tid},crème,a\r\n\r\ns22,{tid},x,bé\r\n"
+                ).encode()
+            )
+            source = CsvChunkSource(path)
+            (chunk,) = source
+            assert chunk.trans_ids.tolist() == [10, 10]
+            assert chunk.items == ["a", "bé"]
+            counts.append(source.stats.bytes_decoded)
+        # Per row: trans_id + ',' + item + CRLF.
+        assert counts == [(3 + 1 + 1 + 2) + (3 + 1 + 3 + 2)] * 2
 
     def test_missing_header_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -159,13 +194,13 @@ class TestBasketChunkSource:
         path.write_text("1: a b c\n2: d\n3: e f\n")
         chunks = list(BasketChunkSource(path, chunk_rows=2))
         # A transaction is never split: the first chunk overflows to 3.
-        assert [c.trans_ids for c in chunks] == [[1, 1, 1], [2, 3, 3]]
+        assert [c.trans_ids.tolist() for c in chunks] == [[1, 1, 1], [2, 3, 3]]
 
     def test_empty_transactions_surface_separately(self, tmp_path):
         path = tmp_path / "x.basket"
         path.write_text("1: a\n2:\n3: b\n")
         (chunk,) = BasketChunkSource(path)
-        assert chunk.trans_ids == [1, 3]
+        assert chunk.trans_ids.tolist() == [1, 3]
         assert chunk.empty_trans_ids == (2,)
 
     def test_malformed_line_errors(self, tmp_path):
@@ -237,7 +272,7 @@ class TestColumnarDecoders:
         source = open_chunk_source(path, chunk_rows=4)
         chunks = list(source)
         assert sum(len(c) for c in chunks) == 6
-        assert chunks[0].trans_ids[:2] == [1, 1]
+        assert chunks[0].trans_ids[:2].tolist() == [1, 1]
         stats = source.stats
         assert stats.columns_read == 2
         assert stats.bytes_read < stats.bytes_total

@@ -349,6 +349,64 @@ class TestQuery:
         assert "line 1, column 6" in output
 
 
+#: Malformed SALES files and the message each error line must carry.
+MALFORMED_CSV = {
+    "bad_trans_id": ("trans_id,item\n1,a\nx,b\n", ":3: bad trans_id 'x'"),
+    "wrong_header": ("a,b\n1,2\n", "expected header 'trans_id,item'"),
+    "mixed_labels": (
+        "trans_id,item\n1,a\n2,5\n",
+        "items must be mutually comparable; found mixed types: int, str",
+    ),
+}
+
+
+class TestMalformedInput:
+    """A bad input file is one ``error:`` line and exit code 2."""
+
+    @staticmethod
+    def _assert_one_error_line(code: int, output: str, message: str):
+        assert code == 2
+        assert output.startswith("error: ")
+        assert output.count("\n") == 1
+        assert message in output
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_mine(self, tmp_path, case):
+        text, message = MALFORMED_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, output = run_cli("mine", str(path), "--json")
+        self._assert_one_error_line(code, output, message)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_query(self, tmp_path, case):
+        text, message = MALFORMED_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, output = run_cli(
+            "query", "MINE ITEMSETS FROM bad WHERE support >= 0.5",
+            f"bad={path}",
+        )
+        self._assert_one_error_line(code, output, message)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        code, output = run_cli("mine", str(path))
+        self._assert_one_error_line(code, output, "No such file")
+        code, output = run_cli(
+            "query", "MINE ITEMSETS FROM missing WHERE support >= 0.5",
+            f"missing={path}",
+        )
+        self._assert_one_error_line(code, output, "No such file")
+
+    def test_unsorted_whole_file_is_accepted(self, tmp_path):
+        path = tmp_path / "unsorted.csv"
+        path.write_text("trans_id,item\n2,b\n1,a\n2,a\n1,b\n1,a\n")
+        code, output = run_cli("mine", str(path), "--minsup", "1.0")
+        assert code == 0
+        assert "2 transactions, 4 rows, 2 items" in output
+
+
 class TestEngines:
     def test_lists_every_registered_engine(self):
         from repro.registry import available_engines
