@@ -112,7 +112,7 @@ _EXPORTS = {
 
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ALGORITHMS",

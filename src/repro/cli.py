@@ -587,11 +587,7 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
                 "parallel": spec.parallel,
                 "streaming_ingest": spec.streaming_ingest,
                 "incremental": spec.incremental,
-                "accepted_options": (
-                    None
-                    if spec.accepted_options is None
-                    else sorted(spec.accepted_options)
-                ),
+                "accepted_options": sorted(spec.accepted_options),
             }
             for spec in specs
         ]
@@ -607,11 +603,7 @@ def _cmd_engines(args: argparse.Namespace, out) -> int:
             "yes" if spec.streaming_ingest else "no",
             "yes" if spec.incremental else "no",
             "yes" if spec.reports_page_accesses else "no",
-            (
-                "(unchecked)"
-                if spec.accepted_options is None
-                else ", ".join(sorted(spec.accepted_options)) or "-"
-            ),
+            ", ".join(sorted(spec.accepted_options)) or "-",
         )
         for spec in specs
     ]

@@ -13,56 +13,52 @@ instance relations, and the choice is the whole performance story:
   a fresh tuple, every count/filter step re-allocates ``tuple(row[1:])``,
   and sorts compare heterogeneous tuples element by element.
 
-* **Columnar** (this module): an ``R_k`` relation is flat integer
-  columns — one trans_id column plus one ``array('q')`` column per item
-  position — with items dictionary-encoded to dense integer ids through
+* **Columnar** (this module): an ``R_k`` relation is flat int64 numpy
+  columns, with items dictionary-encoded to dense integer ids through
   :class:`~repro.core.transactions.ItemCatalog`.  Rows never exist as
   Python objects inside the loop.  Three ideas carry the speedup:
 
   1. **Run-length group delimitation.**  Trans_id groups in the sorted
-     ``SALES`` column are delimited once, by a boundary scan
-     (:func:`tid_group_bounds`), instead of per-row equality tests on
-     every pass.
+     ``SALES`` column are delimited once (:class:`SalesIndex`), instead
+     of per-row equality tests on every pass.
   2. **The merge-scan as index arithmetic.**  ``R_1`` never changes, so
      the merge-scan join degenerates: every ``R_k`` row remembers the
      *global sales position* of its last item (the ``last_sid``
      column), and its Figure-4 extensions are exactly the suffix of its
      transaction's run — ``sales[s+1 : txn_end(s)]``.
      :class:`SalesIndex` precomputes the run ends once;
-     :func:`suffix_extend` then produces ``R'_k`` as a handful of
-     C-driven ``map``/``chain`` passes (gather indices, suffix ranges,
-     item gathers) with no per-row Python at all.
-  3. **Packed-integer patterns.**  A pattern is one mixed-radix integer
-     (:func:`pack_keys`); the merge maintains it incrementally
-     (``key' = key * base + item``), so counting is a single
-     :class:`collections.Counter` pass or a key-free integer sort
+     :func:`suffix_extend` then produces ``R'_k`` as a few whole-column
+     operations (``np.repeat`` ragged-range expansion plus gathers).
+  3. **One int64 key per pattern.**  Counting is a single sort
+     (``np.unique``) or hash pass over one key column
      (:func:`count_packed_keys`) — never ``tuple(row[1:])`` — and the
-     minimum-support filter is an ``itertools.compress`` index copy
+     minimum-support filter is one ``np.isin`` mask
      (:func:`filter_by_keys`).
 
-  The packed key column and ``last_sid`` together determine every
-  logical column (``item_j`` by unpacking the key, ``trans_id`` by
-  reading the sales tid at ``last_sid``), so inside the mining loop a
-  relation physically carries only those two; the trans_id and item-id
-  arrays materialize on first access (:attr:`InstanceRelation.tids`,
-  :attr:`InstanceRelation.items`) for callers that want the plain
-  columnar view.
+Pattern keys
+------------
+Figure 4 builds ``R_k`` by filtering ``R'_k`` through ``C_k``, so the
+first ``k`` items of every ``R_{k+1}`` row form a row of the sorted
+frequent set ``F_k`` — and that row's *position* names the prefix
+without loss.  Keys are therefore dense per level, in radix
+``base = |catalog| + 1``:
 
-Vectorized fast path
---------------------
-When :mod:`numpy` is importable, the three hot primitives
-(:func:`suffix_extend`, :func:`count_packed_keys`,
-:func:`filter_by_keys`) run as a few whole-column ``int64`` operations
-— ``np.repeat`` ragged-range expansion for the merge, sort-based
-``np.unique`` for counting, ``np.isin`` masking for the filter —
-operating on zero-copy ``frombuffer`` views of the same ``array('q')``
-buffers.  numpy is strictly optional: every primitive keeps the
-stdlib ``map``/``chain``/``compress`` implementation, the two paths are
-differentially tested against each other, and the vectorized merge
-falls back per-iteration when a packed key would no longer fit in 64
-bits (``base ** k > 2^63 - 1``; Python's arbitrary-precision integers
-take over).  No behaviour differs between paths beyond the emission
-order of hash-counted groups, which nothing downstream depends on.
+* level 1: the item id;
+* level 2: ``item_1 * base + item_2`` (``R_1`` is joined unfiltered,
+  Section 4.1, so the prefix is the item itself);
+* level ``k + 1`` for ``k >= 2``: ``rank_k(prefix) * base + item``,
+  where ``rank_k`` is the position of the row's level-``k`` key in the
+  sorted array of frequent level-``k`` keys.
+
+Rank is monotone in the key, so numeric key order is lexicographic
+pattern order at every level and rows stay sorted by
+``(trans_id, pattern)`` without a re-sort.  A key is below
+``len(F_k) * base``, which :func:`suffix_extend` checks against int64
+before it scales (:class:`~repro.errors.KeySpaceError` otherwise), so
+no key ever wraps.  :class:`PatternKeys` keeps a run's ``F_k`` arrays
+and decodes keys by walking down the ranks.  ``R_k`` rows keep their
+level-``k`` keys, so counting, filtering, key-range routing, spill
+chunks and transport payloads all see plain int64 values.
 
 The tuple engine stays the faithful reference; this kernel feeds the
 ``setm-columnar`` engine (:mod:`repro.core.setm_columnar`) and is
@@ -70,93 +66,70 @@ differentially tested to produce identical counts and iteration
 statistics.  The group/scan primitives (:func:`tid_group_bounds`,
 :func:`count_sorted_rows`) are representation-level, not engine-level,
 so the paged storage engine's :mod:`repro.storage.mergejoin` shares
-them and can adopt the columnar merge in a follow-up.
+them.
 
-This module is a dependency leaf: it imports only the standard library
-and the leaf module :mod:`repro.core.transactions`, so
-:mod:`repro.storage` can import it without creating a package cycle.
+This module is a dependency leaf: it imports only numpy, the standard
+library and the leaf modules :mod:`repro.core.transactions` and
+:mod:`repro.errors`, so :mod:`repro.storage` can import it without
+creating a package cycle.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, repeat
-from operator import add, sub
+from itertools import chain
 from typing import Literal
 
-from repro.core.transactions import ItemCatalog, TransactionDatabase
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by every kernel test
-    import numpy as _np
-except ImportError:  # minimal installs (e.g. CI) use the stdlib path
-    _np = None
+from repro.core.transactions import ItemCatalog, TransactionDatabase
+from repro.errors import KeySpaceError
 
 __all__ = [
     "InstanceRelation",
+    "PatternKeys",
     "SalesIndex",
-    "chunk_frames",
     "count_packed_keys",
     "count_sorted_rows",
+    "extend_rows",
     "extension_counts",
     "filter_by_keys",
-    "pack_keys",
     "read_chunks",
     "suffix_extend",
     "take",
     "tid_group_bounds",
-    "unpack_key",
 ]
 
-#: Typecode of every materialized column: signed 64-bit, enough for any
-#: trans_id or dictionary-encoded item id (the paper's 4-byte fields fit
-#: trivially).
+#: Typecode of the ``array('q')`` columns the ingest layer builds:
+#: signed 64-bit, enough for any trans_id or dictionary-encoded item id
+#: (the paper's 4-byte fields fit trivially).
 COLUMN_TYPECODE = "q"
 
-
-#: Largest packed key the vectorized path can hold; beyond this the
-#: stdlib path's arbitrary-precision integers take over.
 _INT64_MAX = 2**63 - 1
 
 #: Spill-chunk framing (see :meth:`InstanceRelation.to_chunk_bytes`):
-#: magic, flags byte, pad, k (uint32), rows (int64), payload bytes (int64).
+#: magic, two reserved bytes, k (uint32), rows (int64), payload bytes
+#: (int64).
 _CHUNK_MAGIC = b"RKC1"
-_CHUNK_HEADER = struct.Struct("<4sBxIqq")
-_CHUNK_FLAG_BIG_KEYS = 0x01
+_CHUNK_HEADER = struct.Struct("<4s2xIqq")
 
 
-def _column(values: Iterable[int] = ()) -> array:
-    return array(COLUMN_TYPECODE, values)
-
-
-def _as_int64(values: Sequence[int]) -> "_np.ndarray":
-    """A numpy int64 view/copy of any column representation.
-
-    ``array('q')`` becomes a zero-copy buffer view; ``range`` becomes an
-    ``arange``; lists are converted with ``fromiter``.  Only called when
-    numpy is available.
-    """
-    if isinstance(values, _np.ndarray):
-        return values
+def _as_int64(values) -> np.ndarray:
+    """An int64 ndarray of any column input (a view for buffers)."""
     if isinstance(values, array):
-        return _np.frombuffer(values, dtype=_np.int64)
+        return np.frombuffer(values, dtype=np.int64)
     if isinstance(values, range):
-        return _np.arange(values.start, values.stop, values.step, dtype=_np.int64)
-    return _np.fromiter(values, dtype=_np.int64, count=len(values))
-
-
-def _as_plain(values: Sequence[int]) -> Sequence[int]:
-    """Python-int form of a column (for the arbitrary-precision path)."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tolist()
-    return values
+        return np.arange(
+            values.start, values.stop, values.step, dtype=np.int64
+        )
+    return np.asarray(values, dtype=np.int64)
 
 
 class InstanceRelation:
-    """An ``R_k`` relation as flat integer columns.
+    """An ``R_k`` relation as flat int64 columns.
 
     Logically every relation has ``k + 1`` columns — ``tids`` plus
     ``items[0..k-1]`` — and rows are maintained in
@@ -168,26 +141,27 @@ class InstanceRelation:
     Physically a relation stores whichever columns it was built from:
 
     ``keys``
-        The packed-integer pattern of each row (see :func:`pack_keys`),
-        maintained incrementally by the merge so counting and filtering
-        never rebuild per-row tuples.
+        The pattern key of each row (see the module docstring),
+        maintained by the merge so counting and filtering never rebuild
+        per-row tuples.
     ``last_sid``
         Global ``SALES`` position of each row's last item — the cursor
         the suffix merge of :func:`suffix_extend` resumes from.
 
-    Those two columns determine the rest, so relations produced inside
-    the mining loop carry only them; ``tids`` and ``items`` materialize
-    lazily (tid = sales tid at ``last_sid``; ``item_j`` by unpacking
-    ``keys``).  Relations built from raw rows (:meth:`from_rows`) are
-    eager instead and gain ``keys`` via :meth:`with_keys`.
+    Relations produced inside the mining loop carry only those two;
+    ``tids`` materializes lazily (the sales tid at ``last_sid``), and so
+    do the ``items`` of levels 1 and 2, whose keys need only ``base`` to
+    decode (deeper keys name their prefix by rank: decode them with the
+    run's :class:`PatternKeys`).  Relations built from raw rows
+    (:meth:`from_rows`) are eager instead.
     """
 
     __slots__ = ("_tids", "_items", "last_sid", "keys", "_k", "_index")
 
     def __init__(
         self,
-        tids: array | None,
-        items: tuple[array, ...] | None,
+        tids: np.ndarray | None,
+        items: tuple[np.ndarray, ...] | None,
         *,
         last_sid: Sequence[int] | None = None,
         keys: Sequence[int] | None = None,
@@ -211,13 +185,11 @@ class InstanceRelation:
         cls, rows: Iterable[Sequence[int]], k: int
     ) -> "InstanceRelation":
         """Build eagerly from ``(trans_id, item_1..item_k)`` rows."""
-        tids = _column()
-        items = tuple(_column() for _ in range(k))
-        for row in rows:
-            tids.append(row[0])
-            for j in range(k):
-                items[j].append(row[j + 1])
-        return cls(tids, items)
+        table = np.array(list(rows), dtype=np.int64).reshape(-1, k + 1)
+        return cls(
+            table[:, 0].copy(),
+            tuple(table[:, j].copy() for j in range(1, k + 1)),
+        )
 
     @classmethod
     def sales_from_database(
@@ -227,19 +199,18 @@ class InstanceRelation:
 
         Rows arrive in ``(trans_id, item)`` order because transactions
         are stored sorted and item ids preserve label order (the
-        :class:`ItemCatalog` id-assignment invariant).  The item column
-        is built by one C-driven ``map`` over the chained transactions;
-        ``last_sid`` is the identity (row ``s``'s only item sits at
-        sales position ``s``), ``keys`` aliases the item column (a
-        1-pattern's packed key *is* its item id), and the trans_id
-        column materializes lazily through the attached
-        :class:`SalesIndex`.
+        :class:`ItemCatalog` id-assignment invariant).  ``last_sid`` is
+        the identity (row ``s``'s only item sits at sales position
+        ``s``), ``keys`` aliases the item column (a 1-pattern's key *is*
+        its item id), and the trans_id column materializes lazily
+        through the attached :class:`SalesIndex`.
         """
-        items = _column(
+        items = np.fromiter(
             map(
                 catalog.id_mapping().__getitem__,
                 chain.from_iterable(txn.items for txn in database),
-            )
+            ),
+            dtype=np.int64,
         )
         return cls.sales_from_columns(
             items,
@@ -251,7 +222,7 @@ class InstanceRelation:
     @classmethod
     def sales_from_columns(
         cls,
-        items: array,
+        items: Sequence[int],
         *,
         base: int,
         run_lengths: Sequence[int],
@@ -277,9 +248,9 @@ class InstanceRelation:
         )
         return cls(
             None,
-            (items,),
-            last_sid=range(len(items)),
-            keys=items,
+            (index.items,),
+            last_sid=np.arange(len(index.items), dtype=np.int64),
+            keys=index.items,
             k=1,
             index=index,
         )
@@ -309,42 +280,42 @@ class InstanceRelation:
         return self._index
 
     @property
-    def tids(self) -> array:
+    def tids(self) -> np.ndarray:
         """The trans_id column (materialized on first access if needed)."""
         if self._tids is None:
-            self._tids = _column(
-                map(self._require_index().tids.__getitem__, self.last_sid)
-            )
+            self._tids = self._require_index().tids[_as_int64(self.last_sid)]
         return self._tids
 
     @property
-    def items(self) -> tuple[array, ...]:
+    def items(self) -> tuple[np.ndarray, ...]:
         """The item-id columns (materialized on first access if needed)."""
         if self._items is None:
             base = self._require_index().base
-            columns: list[array] = []
-            keys: Iterable[int] = self.keys
-            for _ in range(self._k):
-                keys = list(keys)
-                columns.append(_column(key % base for key in keys))
-                keys = (key // base for key in keys)
-            columns.reverse()
-            self._items = tuple(columns)
+            if self._k > 2:
+                raise ValueError(
+                    f"level-{self._k} keys name their prefix by rank in "
+                    "the run's frequent keys; decode them with "
+                    "PatternKeys.decode"
+                )
+            keys = _as_int64(self.keys)
+            self._items = (
+                (keys,) if self._k == 1 else tuple(np.divmod(keys, base))
+            )
         return self._items
-
-    def with_keys(self, base: int) -> "InstanceRelation":
-        """Ensure the packed-keys column exists (see :func:`pack_keys`)."""
-        if self.keys is None:
-            self.keys = pack_keys(self, base)
-        return self
 
     def row(self, index: int) -> tuple[int, ...]:
         """Materialize one row as a tuple (tests and debugging only)."""
-        return (self.tids[index], *(col[index] for col in self.items))
+        return (
+            int(self.tids[index]),
+            *(int(column[index]) for column in self.items),
+        )
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Materialize all rows (tests and debugging only)."""
-        return zip(self.tids, *self.items)
+        return zip(
+            _as_int64(self.tids).tolist(),
+            *(_as_int64(column).tolist() for column in self.items),
+        )
 
     def __repr__(self) -> str:
         return f"InstanceRelation(k={self.k}, rows={len(self)})"
@@ -355,15 +326,12 @@ class InstanceRelation:
         """Serialize this relation's ``(keys, last_sid)`` columns to one chunk.
 
         The spill format of the out-of-core engine: a fixed header
-        (magic, flags, ``k``, row count, payload length) followed by the
-        ``last_sid`` column as flat native int64 and the ``keys`` column
-        either as flat int64 (the common case) or — when a packed key no
-        longer fits 64 bits, the same condition that sends
-        :func:`suffix_extend` to its big-integer fallback — as
-        length-prefixed big-endian integers.  ``(keys, last_sid, k)``
-        fully determine a loop relation (tids and item columns derive
-        from them), so the round trip is lossless; chunks are
-        process-private scratch, hence native byte order.
+        (magic, ``k``, row count, payload length) followed by the
+        ``last_sid`` and ``keys`` columns as flat native int64.
+        ``(keys, last_sid, k)`` fully determine a loop relation (tids
+        and item columns derive from them), so the round trip is
+        lossless; chunks are process-private scratch, hence native byte
+        order.
 
         Requires the ``keys`` and ``last_sid`` columns (relations built
         by ``sales_from_database``/``suffix_extend`` have them).
@@ -375,101 +343,52 @@ class InstanceRelation:
                 "chunk serialization needs the keys/last_sid columns; "
                 "build relations with sales_from_database/suffix_extend"
             )
-        sid_bytes = _int64_column_bytes(sids)
-        try:
-            key_bytes = _int64_column_bytes(keys)
-            flags = 0
-        except OverflowError:
-            # The > 64-bit fallback: packed keys are arbitrary-precision
-            # Python integers; store each as length-prefixed big-endian.
-            key_bytes = _bigint_column_bytes(keys)
-            flags = _CHUNK_FLAG_BIG_KEYS
-        payload = sid_bytes + key_bytes
+        payload = _as_int64(sids).tobytes() + _as_int64(keys).tobytes()
         header = _CHUNK_HEADER.pack(
-            _CHUNK_MAGIC, flags, self._k, len(self), len(payload)
+            _CHUNK_MAGIC, self._k, len(self), len(payload)
         )
         return header + payload
 
     @classmethod
     def from_chunk_bytes(
         cls,
-        data: bytes,
+        data,
         offset: int = 0,
         *,
         index: "SalesIndex | None" = None,
     ) -> tuple["InstanceRelation", int]:
         """Deserialize one chunk at ``offset``; returns ``(relation, end)``.
 
-        The inverse of :meth:`to_chunk_bytes`.  ``end`` is the offset of
-        the byte following this chunk, so concatenated chunks (one spill
-        file holds many) can be walked without a directory structure.
-        ``index`` reattaches the run's shared :class:`SalesIndex` so the
-        lazy ``tids``/``items`` columns keep deriving.
+        The inverse of :meth:`to_chunk_bytes`.  ``data`` may be any
+        buffer (bytes, a :class:`memoryview` over shared memory, an
+        ``mmap``): both columns are int64 views built with
+        ``np.frombuffer`` directly over it, so nothing is copied — and
+        the caller must drop the relation before releasing a borrowed
+        buffer.  ``end`` is the offset of the byte following this
+        chunk, so concatenated chunks (one spill file holds many) can be
+        walked without a directory structure.  ``index`` reattaches the
+        run's shared :class:`SalesIndex` so the lazy columns keep
+        deriving.
         """
-        magic, flags, k, n, payload_len = _CHUNK_HEADER.unpack_from(data, offset)
+        magic, k, n, payload_len = _CHUNK_HEADER.unpack_from(data, offset)
         if magic != _CHUNK_MAGIC:
-            raise ValueError(
-                f"bad chunk magic {magic!r} at offset {offset}"
-            )
+            raise ValueError(f"bad chunk magic {magic!r} at offset {offset}")
         body = offset + _CHUNK_HEADER.size
-        end = body + payload_len
-        sids = array(COLUMN_TYPECODE)
-        sids.frombytes(data[body : body + 8 * n])
-        cursor = body + 8 * n
-        if flags & _CHUNK_FLAG_BIG_KEYS:
-            keys: Sequence[int] = _bigint_column_from_bytes(data, cursor, end, n)
-        else:
-            key_column = array(COLUMN_TYPECODE)
-            key_column.frombytes(data[cursor:end])
-            keys = key_column
         relation = cls(
-            None, None, last_sid=sids, keys=keys, k=k, index=index
+            None,
+            None,
+            last_sid=np.frombuffer(data, dtype=np.int64, count=n, offset=body),
+            keys=np.frombuffer(
+                data, dtype=np.int64, count=n, offset=body + 8 * n
+            ),
+            k=k,
+            index=index,
         )
-        return relation, end
-
-
-def _int64_column_bytes(values: Sequence[int]) -> bytes:
-    """Flat native-int64 bytes of a column; ``OverflowError`` on big ints."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tobytes()
-    if isinstance(values, array):
-        return values.tobytes()
-    return array(COLUMN_TYPECODE, values).tobytes()
-
-
-def _bigint_column_bytes(keys: Sequence[int]) -> bytes:
-    """Length-prefixed big-endian encoding for > 64-bit packed keys."""
-    parts: list[bytes] = []
-    for key in keys:
-        value = int(key)
-        if value < 0:
-            raise ValueError(f"packed keys are non-negative; got {value}")
-        blob = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-def _bigint_column_from_bytes(
-    data: bytes, start: int, end: int, n: int
-) -> list[int]:
-    """Invert :func:`_bigint_column_bytes`; returns a plain int list."""
-    keys: list[int] = []
-    cursor = start
-    for _ in range(n):
-        (length,) = struct.unpack_from("<I", data, cursor)
-        cursor += 4
-        keys.append(int.from_bytes(data[cursor : cursor + length], "big"))
-        cursor += length
-    if cursor != end:
-        raise ValueError(
-            f"chunk payload length mismatch: ended at {cursor}, expected {end}"
-        )
-    return keys
+        return relation, body + payload_len
 
 
 def read_chunks(
-    data: bytes, *, index: "SalesIndex | None" = None
+    data, *, index: "SalesIndex | None" = None
 ) -> Iterator[InstanceRelation]:
     """Walk every serialized chunk in ``data`` (one spill file's contents)."""
     offset = 0
@@ -480,36 +399,9 @@ def read_chunks(
         yield relation
 
 
-def chunk_frames(
-    data,
-) -> Iterator[tuple[int, int, int, int, int, int, int]]:
-    """Walk chunk *framing* in ``data`` without decoding any column.
-
-    Yields ``(flags, k, n, start, sid_offset, key_offset, end)`` per
-    chunk: the header fields plus the byte offsets of the ``last_sid``
-    column, the ``keys`` column, and the chunk's end.  ``data`` may be
-    any buffer (bytes, a :class:`memoryview` over shared memory, an
-    ``mmap``) — nothing is sliced or copied, which is the point: the
-    zero-copy transport decoders use these offsets to construct int64
-    column views directly over the source buffer instead of copying the
-    payload through intermediate ``bytes``.
-    """
-    offset = 0
-    total = len(data)
-    while offset < total:
-        magic, flags, k, n, payload_len = _CHUNK_HEADER.unpack_from(
-            data, offset
-        )
-        if magic != _CHUNK_MAGIC:
-            raise ValueError(f"bad chunk magic {magic!r} at offset {offset}")
-        body = offset + _CHUNK_HEADER.size
-        yield flags, k, n, offset, body, body + 8 * n, body + payload_len
-        offset = body + payload_len
-
-
 def extension_counts(
     relation: InstanceRelation, index: "SalesIndex"
-) -> Sequence[int]:
+) -> np.ndarray:
     """Per-row merge-scan output counts: ``|suffix_extend(relation)|`` termwise.
 
     ``counts[r]`` is how many ``R'_{k+1}`` rows row ``r`` will produce —
@@ -521,9 +413,7 @@ def extension_counts(
     sids = relation.last_sid
     if sids is None:
         raise ValueError("extension_counts needs the last_sid column")
-    if _np is not None:
-        return index.ext_counts[_as_int64(sids)]
-    return array(COLUMN_TYPECODE, map(index.ext_counts.__getitem__, sids))
+    return index.ext_counts[_as_int64(sids)]
 
 
 def tid_group_bounds(tids: Sequence[int]) -> list[int]:
@@ -554,48 +444,37 @@ class SalesIndex:
     ``s+1 .. s+ext_counts[s]`` (within a transaction items are distinct
     and ascending, so "later position" equals the paper's
     ``q.item > p.item_{k-1}`` band condition).  A transaction run of
-    length ``L`` therefore contributes exactly ``L-1, L-2, ..., 0``,
-    and the whole column is one chained pass of ``reversed(range(L))``
-    runs — run-length delimitation turned into run-length *generation*.
+    length ``L`` therefore contributes exactly ``L-1, L-2, ..., 0``.
     :func:`suffix_extend` reads this array instead of re-merging
     trans_id groups every iteration.
 
-    ``base`` is the pattern-packing radix: one more than the largest
-    dictionary id, so packed keys are injective and numerically ordered
-    like their patterns.  The per-row trans_id column is derived from
-    ``(trans_ids, run_lengths)`` lazily — the mining loop never reads
-    it.
+    ``base`` is the key radix: one more than the largest dictionary id
+    (see the module docstring).  The per-row trans_id column is derived
+    from ``(trans_ids, run_lengths)`` lazily — the mining loop never
+    reads it.
     """
 
-    __slots__ = ("items", "items_np", "ext_counts", "base", "_tids",
-                 "_run_lengths", "_trans_ids")
+    __slots__ = ("items", "ext_counts", "base", "_tids", "_run_lengths",
+                 "_trans_ids")
 
     def __init__(
         self,
-        items: array,
+        items: Sequence[int],
         base: int,
         *,
         run_lengths: Sequence[int],
         trans_ids: Sequence[int],
     ) -> None:
-        self.items = items
+        self.items = _as_int64(items)
         self.base = base
-        self._run_lengths = run_lengths
+        lengths = _as_int64(run_lengths)
+        self._run_lengths = lengths
         self._trans_ids = trans_ids
-        self._tids: array | None = None
-        if _np is not None:
-            self.items_np = _as_int64(items)
-            lengths = _as_int64(run_lengths)
-            expanded = _np.repeat(lengths, lengths)
-            position = _np.arange(len(items)) - _np.repeat(
-                _np.cumsum(lengths) - lengths, lengths
-            )
-            self.ext_counts = expanded - 1 - position
-        else:
-            self.items_np = None
-            self.ext_counts = _column(
-                chain.from_iterable(map(reversed, map(range, run_lengths)))
-            )
+        self._tids: np.ndarray | None = None
+        position = np.arange(len(self.items)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        self.ext_counts = np.repeat(lengths, lengths) - 1 - position
 
     @classmethod
     def from_relation(
@@ -609,24 +488,22 @@ class SalesIndex:
         lengths up front and skips it).
         """
         tids = sales.tids
-        bounds = tid_group_bounds(tids)
+        bounds = np.array(tid_group_bounds(tids), dtype=np.int64)
         index = cls(
             sales.items[0],
             base,
-            run_lengths=list(map(sub, bounds[1:], bounds)),
-            trans_ids=[tids[bound] for bound in bounds[:-1]],
+            run_lengths=np.diff(bounds),
+            trans_ids=tids[bounds[:-1]],
         )
         index._tids = tids
         return index
 
     @property
-    def tids(self) -> array:
+    def tids(self) -> np.ndarray:
         """Per-row trans_id column (materialized on first access)."""
         if self._tids is None:
-            self._tids = _column(
-                chain.from_iterable(
-                    map(repeat, self._trans_ids, self._run_lengths)
-                )
+            self._tids = np.repeat(
+                _as_int64(self._trans_ids), self._run_lengths
             )
         return self._tids
 
@@ -634,250 +511,213 @@ class SalesIndex:
 def take(relation: InstanceRelation, indices: Sequence[int]) -> InstanceRelation:
     """Gather ``relation``'s rows at ``indices`` into a new relation.
 
-    Column-at-a-time: each physically present column is copied in one
-    C-level pass (``map(column.__getitem__, indices)``) — no per-row
-    Python objects.  Lazy relations stay lazy: only ``keys`` and
-    ``last_sid`` are gathered, and the logical columns keep deriving
-    from them.
+    Column-at-a-time: each physically present column is gathered once.
+    Lazy relations stay lazy: only ``keys`` and ``last_sid`` are
+    gathered, and the logical columns keep deriving from them.
     """
-    tids = items = None
-    if relation._tids is not None:
-        tids = _column(map(relation._tids.__getitem__, indices))
-    if relation._items is not None:
-        items = tuple(
-            _column(map(column.__getitem__, indices))
-            for column in relation._items
-        )
-    last_sid = keys = None
-    if relation.last_sid is not None:
-        last_sid = list(map(relation.last_sid.__getitem__, indices))
-    if relation.keys is not None:
-        keys = list(map(relation.keys.__getitem__, indices))
+    positions = _as_int64(indices)
+
+    def gather(column):
+        return None if column is None else _as_int64(column)[positions]
+
+    items = relation._items
     return InstanceRelation(
-        tids,
-        items,
-        last_sid=last_sid,
-        keys=keys,
+        gather(relation._tids),
+        None if items is None else tuple(map(gather, items)),
+        last_sid=gather(relation.last_sid),
+        keys=gather(relation.keys),
         k=relation.k,
         index=relation._index,
     )
 
 
+class PatternKeys:
+    """The frequent-key arrays of one mining run: the key decoder.
+
+    ``frequent[k]`` is the sorted array of frequent level-``k`` keys
+    (``F_k``), recorded as each iteration's ``C_k`` is filtered
+    (:meth:`record`).  Level ``k + 1`` keys name their prefix by its
+    position in ``frequent[k]`` (see the module docstring), so
+    :meth:`decode` walks down the ranks, one level at a time, back to
+    the item ids.
+    """
+
+    __slots__ = ("base", "frequent")
+
+    def __init__(self, base: int) -> None:
+        self.base = base
+        self.frequent: dict[int, np.ndarray] = {}
+
+    def record(self, k: int, keys: Iterable[int]) -> np.ndarray:
+        """Store (and return) ``F_k``: the given keys, sorted, as int64."""
+        if not isinstance(keys, np.ndarray):
+            keys = np.fromiter(keys, dtype=np.int64)
+        self.frequent[k] = np.sort(keys)
+        return self.frequent[k]
+
+    def prefixes(self, k: int) -> np.ndarray | None:
+        """What :func:`suffix_extend` ranks level-``k`` rows by.
+
+        ``None`` for ``R_1`` (level-2 keys carry the item itself).
+        """
+        return None if k == 1 else self.frequent[k]
+
+    def parents(self, keys: np.ndarray, k: int) -> np.ndarray:
+        """The level-``(k-1)`` prefix keys of level-``k`` keys."""
+        heads = keys // self.base
+        return heads if k == 2 else self.frequent[k - 1][heads]
+
+    def decode(self, key: int, k: int) -> tuple[int, ...]:
+        """The ``k`` item ids of one level-``k`` key."""
+        key = int(key)
+        items = []
+        while k > 1:
+            key, item = divmod(key, self.base)
+            items.append(item)
+            k -= 1
+            if k > 1:
+                key = int(self.frequent[k][key])
+        items.append(key)
+        items.reverse()
+        return tuple(items)
+
+
+def extend_rows(
+    sids: np.ndarray,
+    keys: np.ndarray,
+    counts: np.ndarray,
+    items: np.ndarray,
+    base: int,
+    frequent: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ranked merge step: ``(new_sids, new_keys)`` of the extensions.
+
+    Row ``r`` (a level-``k`` key at sales position ``sids[r]``) extends
+    with the ``counts[r]`` items at positions ``sids[r]+1 ..`` — a
+    ragged-range expansion by ``np.repeat``.  Its key becomes the
+    level-``k+1`` key ``prefix * base + item``, where ``prefix`` is the
+    row's rank in ``frequent`` (the sorted ``F_k``) or, for ``R_1``
+    rows (``frequent=None``), the item id itself.  The prefix part is
+    computed once per input row, before expansion.
+
+    Raises :class:`~repro.errors.KeySpaceError` when a level-``k+1`` key
+    could exceed int64 (``len(F_k) * base`` does not fit).
+    """
+    limit = base if frequent is None else len(frequent)
+    if limit * base > _INT64_MAX:
+        raise KeySpaceError(
+            f"the next level's pattern keys need {limit} prefixes x radix "
+            f"{base} distinct values, more than int64 holds"
+        )
+    prefix = keys if frequent is None else np.searchsorted(frequent, keys)
+    total = int(counts.sum())
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    new_sids = np.repeat(sids + 1, counts) + offsets
+    new_keys = np.repeat(prefix * base, counts) + items[new_sids]
+    return new_sids, new_keys
+
+
 def suffix_extend(
-    r_prev: InstanceRelation, index: SalesIndex
+    r_prev: InstanceRelation,
+    index: SalesIndex,
+    frequent: np.ndarray | None = None,
 ) -> InstanceRelation:
     """The merge-scan join of Figure 4, fused and columnar.
 
     ``R'_k := merge-scan(R_{k-1}, R_1)``: every ``R_{k-1}`` row is
     extended with every strictly greater ``SALES`` item of the same
     transaction.  Because each row carries ``last_sid`` and the
-    :class:`SalesIndex` knows each position's transaction run end, the
+    :class:`SalesIndex` knows each position's transaction run, the
     extensions of row ``r`` are exactly sales positions
-    ``last_sid[r]+1 .. ends[last_sid[r]]`` — so the whole join is a
-    handful of C-driven bulk passes with no per-row Python:
+    ``last_sid[r]+1 .. last_sid[r]+ext_counts[last_sid[r]]``
+    (:func:`extend_rows`).
 
-    1. per-row extension counts — one ``map`` over ``ext_counts``;
-    2. the new ``last_sid`` column — ``chain``-flattened ``range`` runs;
-    3. the packed keys (``key' = key * base + item``) — previous keys
-       are scaled *before* expansion (|R_{k-1}| multiplications, not
-       |R'_k|), replicated by ``chain``-flattened ``repeat`` runs, and
-       added to the sales items at the new positions.
-
-    Output rows come out sorted by ``(trans_id, item_1, ..., item_k)``
-    (prev rows are walked in sorted order; suffixes ascend within a
-    transaction), so no re-sort is needed before counting or the next
+    ``frequent`` is the sorted frequent-key array of ``r_prev``'s level
+    (``PatternKeys.prefixes(r_prev.k)``): required for ``k >= 2``,
+    ``None`` for ``R_1``.  Output rows come out sorted by
+    ``(trans_id, item_1, ..., item_k)`` (prev rows are walked in sorted
+    order; suffixes ascend within a transaction; rank is monotone in
+    the key), so no re-sort is needed before counting or the next
     merge.  Requires ``r_prev.last_sid`` and ``r_prev.keys``.
     """
     sids = r_prev.last_sid
-    prev_keys = r_prev.keys
-    if sids is None or prev_keys is None:
+    keys = r_prev.keys
+    if sids is None or keys is None:
         raise ValueError(
             "suffix_extend needs last_sid/keys columns; build relations "
             "with sales_from_database/suffix_extend, not raw constructors"
         )
-    if _np is not None and index.base ** (r_prev.k + 1) <= _INT64_MAX:
-        # Vectorized ragged-range expansion: whole-column int64 ops on
-        # zero-copy views.  Guarded so a packed key never overflows 64
-        # bits — deeper patterns fall back to Python's big integers.
-        sids_np = _as_int64(sids)
-        keys_np = _as_int64(prev_keys)
-        counts_np = index.ext_counts[sids_np]
-        total = int(counts_np.sum())
-        offsets = _np.arange(total) - _np.repeat(
-            _np.cumsum(counts_np) - counts_np, counts_np
+    if (frequent is None) != (r_prev.k == 1):
+        raise ValueError(
+            "suffix_extend ranks level-k rows (k >= 2) by the sorted "
+            "frequent level-k keys, and R_1 rows by nothing; got "
+            f"k={r_prev.k} with frequent="
+            f"{'None' if frequent is None else 'an array'}"
         )
-        new_sids_np = _np.repeat(sids_np + 1, counts_np) + offsets
-        new_keys_np = (
-            _np.repeat(keys_np * index.base, counts_np)
-            + index.items_np[new_sids_np]
-        )
-        return InstanceRelation(
-            None,
-            None,
-            last_sid=new_sids_np,
-            keys=new_keys_np,
-            k=r_prev.k + 1,
-            index=index,
-        )
-
-    # stdlib path (and the > 64-bit fallback: plain Python integers).
-    if _np is not None:
-        # Reached only on key overflow: gather the counts vectorized,
-        # then drop every column to Python ints for big-int packing.
-        counts: Sequence[int] = index.ext_counts[_as_int64(sids)].tolist()
-        starts: Sequence[int] = [s + 1 for s in _as_plain(sids)]
-        prev_keys = _as_plain(prev_keys)
-    else:
-        ext_counts = index.ext_counts
-        if isinstance(sids, range) and sids == range(len(ext_counts)):
-            # R_1's identity cursor: the per-row gathers collapse away.
-            counts = ext_counts
-            starts = range(1, len(prev_keys) + 1)
-        else:
-            counts = list(map(ext_counts.__getitem__, sids))
-            starts = list(map((1).__add__, sids))
-    new_sids = list(
-        chain.from_iterable(map(range, starts, map(add, starts, counts)))
-    )
-    scaled = map(index.base.__mul__, prev_keys)
-    keys = list(
-        map(
-            add,
-            chain.from_iterable(map(repeat, scaled, counts)),
-            map(index.items.__getitem__, new_sids),
-        )
+    sids = _as_int64(sids)
+    new_sids, new_keys = extend_rows(
+        sids,
+        _as_int64(keys),
+        index.ext_counts[sids],
+        index.items,
+        index.base,
+        frequent,
     )
     return InstanceRelation(
         None,
         None,
         last_sid=new_sids,
-        keys=keys,
+        keys=new_keys,
         k=r_prev.k + 1,
         index=index,
     )
 
 
-def pack_keys(relation: InstanceRelation, base: int) -> list[int]:
-    """One packed integer per row: the item columns in mixed radix ``base``.
-
-    ``base`` must exceed every item id, so distinct patterns map to
-    distinct keys and numeric key order equals lexicographic pattern
-    order.  Packing is column-at-a-time (one zip-driven pass per extra
-    column), never ``tuple(row[1:])``.  The engine's merge maintains the
-    keys incrementally (``relation.keys``); this standalone form exists
-    for relations built from raw rows.
-    """
-    columns = relation.items
-    keys = list(columns[0])
-    for column in columns[1:]:
-        keys = [key * base + item for key, item in zip(keys, column)]
-    return keys
-
-
-def unpack_key(key: int, k: int, base: int) -> tuple[int, ...]:
-    """Invert :func:`pack_keys` for one key back to ``k`` item ids."""
-    ids = [0] * k
-    for position in range(k - 1, -1, -1):
-        key, ids[position] = divmod(key, base)
-    return tuple(ids)
-
-
 def count_packed_keys(
     keys: Sequence[int], *, via: Literal["auto", "sort", "hash"] = "auto"
 ) -> list[tuple[int, int]]:
-    """Group counts over packed keys.
+    """Group counts over pattern keys.
 
-    ``via="hash"`` is one :class:`collections.Counter` pass (C-speed
-    integer hashing), emitted in deterministic first-occurrence order.
-    ``via="sort"`` mirrors the paper's sort-then-scan: a key-free
-    integer sort followed by run-length delimitation — vectorized as
-    ``np.unique(return_counts=True)`` when numpy is available, binary
-    run probes over ``sorted()`` otherwise — emitted in ascending key
-    order, which equals lexicographic pattern order.  ``via="auto"``
-    picks the fastest available strategy (vectorized sort, else hash).
-    All strategies produce the same multiset of ``(key, count)`` pairs.
+    ``via="sort"`` (and ``"auto"``) mirrors the paper's sort-then-scan
+    as ``np.unique(return_counts=True)``, emitted in ascending key
+    order, which equals lexicographic pattern order.  ``via="hash"`` is
+    one :class:`collections.Counter` pass, emitted in deterministic
+    first-occurrence order.  Both produce the same multiset of
+    ``(key, count)`` pairs, as Python ints.
     """
-    # Keys held in an ndarray or array('q') are 64-bit by construction;
-    # a plain list may carry overflow-fallback big integers, which only
-    # the pure-Python strategies can hold.
-    vectorizable = _np is not None and isinstance(keys, (_np.ndarray, array))
-    if via == "auto":
-        via = "sort" if vectorizable else "hash"
+    keys = _as_int64(keys)
     if via == "hash":
-        return list(Counter(_as_plain(keys)).items())
-    if vectorizable:
-        unique, counts = _np.unique(_as_int64(keys), return_counts=True)
-        return list(zip(unique.tolist(), counts.tolist()))
-    ordered = sorted(keys)
-    n = len(ordered)
-    counts: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        key = ordered[i]
-        j = bisect_right(ordered, key, i, n)
-        counts.append((key, j - i))
-        i = j
-    return counts
+        return list(Counter(keys.tolist()).items())
+    unique, counts = np.unique(keys, return_counts=True)
+    return list(zip(unique.tolist(), counts.tolist()))
 
 
 def filter_by_keys(
-    relation: InstanceRelation, supported: set[int]
+    relation: InstanceRelation, supported: Iterable[int]
 ) -> InstanceRelation:
-    """``R_k`` from ``R'_k``: keep rows whose packed key is supported.
+    """``R_k`` from ``R'_k``: keep rows whose key is supported.
 
-    One membership ``map`` builds the selector, then every physical
-    column is copied through ``itertools.compress`` — all C-level
-    passes, no per-row Python.  Input order is preserved, so the
+    ``supported`` is a set of keys or an int64 array of them.  One
+    ``np.isin`` mask selects the rows and both loop columns are copied
+    through it; input order is preserved, so the
     sorted-by-``(trans_id, items)`` invariant survives filtering.
     Requires ``relation.keys``.
     """
     keys = relation.keys
     if keys is None:
         raise ValueError("filter_by_keys needs the packed-keys column")
-    if _np is not None and isinstance(keys, _np.ndarray):
-        # A supported set may carry > 64-bit keys (from a sibling big-int
-        # partition of the out-of-core engine); those cannot occur in an
-        # int64 column, so drop them before the C conversion.
-        wanted = [key for key in supported if -_INT64_MAX - 1 <= key <= _INT64_MAX]
-        mask = _np.isin(keys, _np.fromiter(wanted, dtype=_np.int64,
-                                           count=len(wanted)))
-        if bool(mask.all()):
-            return relation
-        last_sid = relation.last_sid
-        return InstanceRelation(
-            None,
-            None,
-            last_sid=(
-                _as_int64(last_sid)[mask] if last_sid is not None else None
-            ),
-            keys=keys[mask],
-            k=relation.k,
-            index=relation._index,
-        )
-    selector = list(map(supported.__contains__, keys))
-    if all(selector):
+    if not isinstance(supported, np.ndarray):
+        supported = np.fromiter(supported, dtype=np.int64)
+    keys = _as_int64(keys)
+    mask = np.isin(keys, supported)
+    if bool(mask.all()):
         return relation
-    tids = items = None
-    if relation._tids is not None:
-        tids = _column(compress(relation._tids, selector))
-    if relation._items is not None:
-        items = tuple(
-            _column(compress(column, selector)) for column in relation._items
-        )
-    # The cursor column stays a flat int64 buffer (array('q'), never a
-    # Python-int list): cursors always fit 64 bits, and downstream
-    # consumers — chunk serialization, the workers' survivor replies —
-    # round-trip it buffer-to-buffer via .tobytes()/.frombytes().
-    last_sid = (
-        _column(compress(relation.last_sid, selector))
-        if relation.last_sid is not None
-        else None
-    )
+    last_sid = relation.last_sid
     return InstanceRelation(
-        tids,
-        items,
-        last_sid=last_sid,
-        keys=list(compress(keys, selector)),
+        None,
+        None,
+        last_sid=_as_int64(last_sid)[mask] if last_sid is not None else None,
+        keys=keys[mask],
         k=relation.k,
         index=relation._index,
     )

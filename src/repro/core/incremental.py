@@ -31,6 +31,17 @@ level:
 * prefix no longer frequent (the threshold grew with ``N``) — its state
   entries are dropped.
 
+Level keys are the columnar kernel's dense keys
+(:mod:`repro.core.columns`): a level-``k`` key names its prefix by rank
+in the sorted frequent ``F_{k-1}``.  Ranks shift between runs — the
+catalog grows and ``F_{k-1}`` gains and loses members — so a delta mine
+re-keys the state level by level: the item digit goes through the
+catalog id map, and each old prefix rank (a position among the saved
+level-``k-1`` keys with count at the base threshold) is mapped to its
+rank in the new ``F_{k-1}`` with one ``searchsorted``, or to -1 when the
+prefix dropped out, which drops the entry.  New ``F_{k-1}`` members no
+old rank maps to are exactly the newly frequent prefixes to recount.
+
 Delta counts come from running the columnar extension loop
 (:func:`~repro.core.columns.suffix_extend`) over the appended
 transactions only, filtered by the global ``F_k``.  Every
@@ -49,12 +60,13 @@ materialized by the base run).
 
 On-disk format
 --------------
-A state directory holds ``state.json`` (version, dataset fingerprint,
+A state directory holds ``state.json`` (version 2, dataset fingerprint,
 config identity, catalog labels) plus ``levels.bin`` — one serialized
 chunk per level reusing the spill-chunk framing of
 :meth:`~repro.core.columns.InstanceRelation.to_chunk_bytes` (counts ride
-in the ``last_sid`` column, packed keys in ``keys`` with the > 64-bit
-fallback).  Writes are temp-file + ``os.replace`` atomic with the
+in the ``last_sid`` column, the level's dense int64 keys — ranked
+against the saved level below at the saved run's threshold — in
+``keys``).  Writes are temp-file + ``os.replace`` atomic with the
 manifest as the commit point; version skew refuses typed
 (:class:`~repro.errors.StateVersionError`), a state that does not cover
 the dataset or config refuses typed
@@ -67,20 +79,19 @@ import json
 import os
 import time
 import tracemalloc
-from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
 from pathlib import Path
 from typing import Any, Literal
 
+import numpy as np
+
 from repro.core.columns import (
-    COLUMN_TYPECODE,
     InstanceRelation,
+    PatternKeys,
     count_packed_keys,
+    extend_rows,
     filter_by_keys,
     read_chunks,
     suffix_extend,
-    unpack_key,
 )
 from repro.core.result import IterationStats, MiningResult
 from repro.core.setm import run_figure4_loop
@@ -94,70 +105,35 @@ from repro.errors import (
 )
 from repro.registry import register_engine
 
-try:  # pragma: no cover - exercised implicitly by the recount tests
-    import numpy as _np
-except ImportError:  # minimal installs use the transaction-scan recount
-    _np = None
-
 __all__ = ["MiningState", "STATE_VERSION", "setm_incremental"]
 
-#: On-disk state format version; bumped on any incompatible change.
-STATE_VERSION = 1
-
-#: Largest packed key the vectorized recount can hold (mirrors the
-#: guard of :func:`~repro.core.columns.suffix_extend`).
-_INT64_MAX = 2**63 - 1
+#: On-disk state format version; bumped on any incompatible change
+#: (version 2: level keys are the kernel's dense per-level keys).
+STATE_VERSION = 2
 
 _MANIFEST_NAME = "state.json"
 _LEVELS_NAME = "levels.bin"
-
-
-def _column(values=()) -> array:
-    return array(COLUMN_TYPECODE, values)
 
 
 def _is_absolute(support: float | int) -> bool:
     return isinstance(support, int) and not isinstance(support, bool)
 
 
-#: A level map as parallel columns: ``(keys, counts)``, sorted by key.
-#: Columns are ``array('q')`` / numpy int64 (or a plain list when a
-#: packed key overflows 64 bits) — the exact shape the on-disk chunk
-#: format stores, so save/load never converts through dicts.
-LevelPair = tuple[Sequence[int], Sequence[int]]
+#: A level map as parallel int64 columns: ``(keys, counts)``, sorted by
+#: key — the exact shape the on-disk chunk format stores, so save/load
+#: never converts through dicts.
+LevelPair = tuple[np.ndarray, np.ndarray]
 
-_EMPTY_PAIR: LevelPair = (_column(), _column())
+_EMPTY_PAIR: LevelPair = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 def _pair_from_dict(counts: dict[int, int]) -> LevelPair:
     """A count map as a sorted ``(keys, counts)`` column pair."""
     keys = sorted(counts)
-    values = _column(map(counts.__getitem__, keys))
-    try:
-        return _column(keys), values
-    except OverflowError:  # > 64-bit packed keys stay plain ints
-        return keys, values
-
-
-def _as_np(column) -> "_np.ndarray":
-    """A numpy int64 view/copy of a column (numpy available only)."""
-    if isinstance(column, _np.ndarray):
-        return column
-    if isinstance(column, array):
-        return _np.frombuffer(column, dtype=_np.int64)
-    return _np.fromiter(column, dtype=_np.int64, count=len(column))
-
-
-def _as_list(column) -> list[int]:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.tolist()
-    return list(column)
-
-
-def _sum_column(counts) -> int:
-    if _np is not None and isinstance(counts, _np.ndarray):
-        return int(counts.sum())
-    return sum(counts)
+    return (
+        np.array(keys, dtype=np.int64),
+        np.array([counts[key] for key in keys], dtype=np.int64),
+    )
 
 
 def _supported_slice(
@@ -165,16 +141,12 @@ def _supported_slice(
 ) -> list[tuple[int, int]]:
     """The ``>= threshold`` entries of a level pair, in key order."""
     keys, counts = pair
-    if _np is not None and isinstance(keys, _np.ndarray):
-        mask = counts >= threshold
-        return list(zip(keys[mask].tolist(), counts[mask].tolist()))
-    return [
-        (key, count) for key, count in zip(keys, counts) if count >= threshold
-    ]
+    mask = counts >= threshold
+    return list(zip(keys[mask].tolist(), counts[mask].tolist()))
 
 
-def _combine_np(parts: list[LevelPair]) -> LevelPair:
-    """Sum column pairs into one sorted pair (numpy path).
+def _combine(parts: list[LevelPair]) -> LevelPair:
+    """Sum column pairs into one sorted pair.
 
     Each input pair must carry unique keys; counts of keys present in
     several pairs are added — the whole per-level merge (state-kept +
@@ -184,26 +156,28 @@ def _combine_np(parts: list[LevelPair]) -> LevelPair:
     if not parts:
         return _EMPTY_PAIR
     if len(parts) == 1:
-        keys, counts = parts[0]
-        return _as_np(keys), _as_np(counts)
-    all_keys = _np.concatenate([_as_np(keys) for keys, _ in parts])
-    all_counts = _np.concatenate([_as_np(counts) for _, counts in parts])
-    merged_keys, inverse = _np.unique(all_keys, return_inverse=True)
-    merged_counts = _np.zeros(len(merged_keys), dtype=_np.int64)
-    _np.add.at(merged_counts, inverse, all_counts)
+        return parts[0]
+    all_keys = np.concatenate([keys for keys, _ in parts])
+    all_counts = np.concatenate([counts for _, counts in parts])
+    merged_keys, inverse = np.unique(all_keys, return_inverse=True)
+    merged_counts = np.zeros(len(merged_keys), dtype=np.int64)
+    np.add.at(merged_counts, inverse, all_counts)
     return merged_keys, merged_counts
 
 
 class MiningState:
     """The materialized per-level candidate count maps of one mine.
 
-    ``levels[k]`` holds each packed pattern key the Figure-4 loop
-    counted at iteration ``k`` (the *pre*-HAVING map, so borderline
-    counts are preserved) with its transaction count, as a sorted
+    ``levels[k]`` holds each pattern key the Figure-4 loop counted at
+    iteration ``k`` (the *pre*-HAVING map, so borderline counts are
+    preserved) with its transaction count, as a sorted int64
     ``(keys, counts)`` column pair — the merge works on whole columns
     and save/load move them without conversion; use
-    :meth:`level_counts` for a dict view.  Keys are packed in the radix
-    of ``labels`` (``base = len(labels) + 1``).  The fingerprint fields
+    :meth:`level_counts` for a dict view.  Keys are the columnar
+    kernel's dense keys (:mod:`repro.core.columns`) in the radix of
+    ``labels`` (``base = len(labels) + 1``): a level-``k`` key for
+    ``k >= 3`` names its prefix by rank among the level-``k-1`` keys
+    whose count reaches the run's support threshold.  The fingerprint fields
     identify the dataset prefix the counts cover, so a later run can
     verify the current dataset is an append-extension and mine only the
     tail.  Constructor ``levels`` values may be dicts (normalized to
@@ -248,14 +222,18 @@ class MiningState:
         )
         self.max_length = max_length
         self.levels = {
-            k: _pair_from_dict(value) if isinstance(value, dict) else value
+            k: (
+                _pair_from_dict(value)
+                if isinstance(value, dict)
+                else tuple(np.asarray(col, dtype=np.int64) for col in value)
+            )
             for k, value in levels.items()
         }
 
     def level_counts(self, k: int) -> dict[int, int]:
         """Level ``k``'s count map as a plain dict (tests, inspection)."""
         keys, counts = self.levels[k]
-        return dict(zip(_as_list(keys), _as_list(counts)))
+        return dict(zip(keys.tolist(), counts.tolist()))
 
     @classmethod
     def from_full_run(
@@ -460,132 +438,91 @@ def _check_state_covers(
             )
 
 
-def _rekey_levels(state: MiningState, catalog) -> dict[int, LevelPair]:
-    """State pairs re-packed into the current catalog's id space.
+def _id_map(state: MiningState, catalog) -> np.ndarray | None:
+    """``old item id -> current item id`` (index 0 unused).
 
     Appends can grow the catalog, and new labels sorting between old
-    ones shift every later id — so state keys are unpacked in the old
-    radix, gathered through ``old id -> new id``, and re-packed in the
-    new radix.  Both catalogs list labels sorted, so the id remap is
-    strictly increasing and digit-wise remapping preserves each
-    level's key order: the vectorized path peels digits with
-    ``divmod`` and never re-sorts.  Identity catalogs skip all of it —
-    the hot path of same-vocabulary appends.
+    ones shift every later id.  Both catalogs list labels sorted, so
+    the map is strictly increasing and keeps each level's key order.
+    ``None`` when the catalog is unchanged — the common same-vocabulary
+    append, whose item ids all stand.
     """
-    current = catalog.labels()
-    if state.labels == current:
-        return state.levels
+    if state.labels == catalog.labels():
+        return None
     try:
-        old_to_new = [0] + [catalog.id_of(label) for label in state.labels]
+        ids = [0] + [catalog.id_of(label) for label in state.labels]
     except KeyError as exc:
         raise StateMismatchError(
             f"saved state knows item {exc.args[0]!r} which the dataset's "
             "catalog no longer contains; the base prefix diverged"
         ) from None
-    old_base = len(state.labels) + 1
-    new_base = len(current) + 1
-    mapping = (
-        _np.fromiter(old_to_new, dtype=_np.int64, count=len(old_to_new))
-        if _np is not None
-        else None
-    )
-    rekeyed: dict[int, LevelPair] = {}
-    for k, (keys, counts) in state.levels.items():
-        if (
-            mapping is not None
-            and not isinstance(keys, list)
-            and new_base**k <= _INT64_MAX
-        ):
-            rem = _as_np(keys)
-            new_keys = _np.zeros(len(rem), dtype=_np.int64)
-            place = 1
-            for _ in range(k):
-                rem, digit = _np.divmod(rem, old_base)
-                new_keys += mapping[digit] * place
-                place *= new_base
-            rekeyed[k] = (new_keys, _as_np(counts))
-            continue
-        entries: list[tuple[int, int]] = []
-        for key, count in zip(keys, counts):
-            new_key = 0
-            for item in unpack_key(int(key), k, old_base):
-                new_key = new_key * new_base + old_to_new[item]
-            entries.append((new_key, count))
-        entries.sort()
-        new_counts = _column(entry[1] for entry in entries)
-        try:
-            rekeyed[k] = (_column(entry[0] for entry in entries), new_counts)
-        except OverflowError:
-            rekeyed[k] = ([entry[0] for entry in entries], new_counts)
-    return rekeyed
+    return np.array(ids, dtype=np.int64)
+
+
+def _translate(
+    keys: np.ndarray,
+    k: int,
+    old_base: int,
+    base: int,
+    id_map: np.ndarray | None,
+    prefix_map: np.ndarray | None,
+) -> np.ndarray:
+    """Saved level-``k`` keys as keys of the current run; -1 where dropped.
+
+    The item digit goes through ``id_map``; the prefix digit too at
+    ``k = 2`` (a level-2 key carries its first item), and through
+    ``prefix_map`` — old rank in the saved ``F_{k-1}`` to rank in the
+    current ``F_{k-1}``, -1 if the prefix dropped out — for ``k >= 3``.
+    Keys made only of item ids stand as they are when the catalog is
+    unchanged (``id_map is None``).
+    """
+    if k <= 2 and id_map is None:
+        return keys
+    if k == 1:
+        return id_map[keys]
+    heads, items = np.divmod(keys, old_base)
+    if id_map is not None:
+        items = id_map[items]
+    heads = id_map[heads] if k == 2 else prefix_map[heads]
+    dropped = heads < 0
+    heads *= base
+    heads += items
+    heads[dropped] = -1
+    return heads
+
+
+def _ranks_in(frequent: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each key's position in sorted ``frequent``; -1 where absent."""
+    positions = np.searchsorted(frequent, keys)
+    found = positions < len(frequent)
+    found[found] = frequent[positions[found]] == keys[found]
+    return np.where(found, positions, -1)
 
 
 # -- the delta mine ----------------------------------------------------------------
 
 
-def _tail_items(dataset, skip: int) -> array:
-    """The encoded item column from global row ``skip`` on, one column."""
-    out = _column()
-    seen = 0
-    for chunk in dataset.iter_item_chunks():
-        end = seen + len(chunk)
-        if end > skip:
-            out.extend(chunk[max(0, skip - seen) :])
-        seen = end
-    return out
-
-
-def _iter_base_transactions(dataset, t_base: int):
-    """Yield each base transaction's sorted item ids, chunk-aligned.
+def _items_between(dataset, start: int, stop: int | None) -> np.ndarray:
+    """A fresh copy of the encoded item rows ``start:stop``.
 
     Walks ``iter_item_chunks()`` (non-consuming — spilled pieces stream
-    one at a time) against the run-length framing; transactions may span
-    chunk boundaries.
+    one at a time).  The result never views the dataset's resident
+    column, which later appends must be free to grow.
     """
-    run_lengths = dataset.run_lengths
-    source = dataset.iter_item_chunks()
-    chunk: array = _column()
-    pos = 0
-    for i in range(t_base):
-        need = run_lengths[i]
-        txn: list[int] = []
-        while need:
-            if pos == len(chunk):
-                chunk = next(source)
-                pos = 0
-                continue
-            take = min(need, len(chunk) - pos)
-            txn.extend(chunk[pos : pos + take])
-            pos += take
-            need -= take
-        yield txn
-
-
-def _recount_base_scan(
-    dataset, q_new: set[int], k_prev: int, t_base: int, base: int
-) -> tuple[dict[int, int], int]:
-    """Transaction-scan recount (the numpy-free fallback).
-
-    For every base transaction containing a prefix ``q`` of ``q_new``,
-    each later item ``j`` contributes one instance of ``q . j`` — the
-    counts the base run never materialized because ``q`` was infrequent
-    then.  Returns ``(counts, base_rows_walked)``.
-    """
-    patterns = [(key, unpack_key(key, k_prev, base)) for key in q_new]
-    counts: dict[int, int] = {}
-    rows = 0
-    for txn in _iter_base_transactions(dataset, t_base):
-        rows += len(txn)
-        if len(txn) <= k_prev:
+    pieces = []
+    seen = 0
+    for chunk in dataset.iter_item_chunks():
+        column = np.asarray(chunk, dtype=np.int64)
+        low = seen
+        seen += len(column)
+        if seen <= start:
             continue
-        members = set(txn)
-        for key, items in patterns:
-            if all(item in members for item in items):
-                scaled = key * base
-                for j in txn[bisect_right(txn, items[-1]) :]:
-                    new_key = scaled + j
-                    counts[new_key] = counts.get(new_key, 0) + 1
-    return counts, rows
+        if stop is not None and low >= stop:
+            break
+        pieces.append(
+            column[max(0, start - low) : None if stop is None else stop - low]
+        )
+    return np.concatenate(pieces) if pieces else np.empty(0, np.int64)
 
 
 class _BaseColumns:
@@ -599,77 +536,58 @@ class _BaseColumns:
     expansion walks every base row) is ever built here.
     """
 
-    __slots__ = ("items", "ends")
+    __slots__ = ("items", "ends", "base")
 
     def __init__(self, dataset, t_base: int, s_base: int) -> None:
-        gathered = _column()
-        for chunk in dataset.iter_item_chunks():
-            take = s_base - len(gathered)
-            gathered.extend(chunk if len(chunk) <= take else chunk[:take])
-            if len(gathered) == s_base:
-                break
-        self.items = _np.frombuffer(gathered, dtype=_np.int64)
-        lengths = dataset.run_lengths[:t_base]
-        if isinstance(lengths, array):
-            lengths = _np.frombuffer(lengths, dtype=_np.int64)
-        self.ends = _np.cumsum(lengths)
+        self.items = _items_between(dataset, 0, s_base)
+        self.ends = np.cumsum(
+            np.asarray(dataset.run_lengths[:t_base], dtype=np.int64)
+        )
+        self.base = dataset.base
 
-    def extend_instances(self, sids, keys, base: int):
-        """Vectorized merge-scan step over selected instance rows only.
+    def extend(self, sids, keys, frequent):
+        """The ranked merge step over selected instance rows only.
 
-        The ragged-range expansion of
-        :func:`~repro.core.columns.suffix_extend`, but with each row's
+        :func:`~repro.core.columns.extend_rows`, with each row's
         extension count derived on the fly from its transaction end —
         O(|selected| log t_base) instead of O(base rows).
         """
-        ends = self.ends[_np.searchsorted(self.ends, sids, side="right")]
-        counts = ends - sids - 1
-        total = int(counts.sum())
-        offsets = _np.arange(total) - _np.repeat(
-            _np.cumsum(counts) - counts, counts
+        ends = self.ends[np.searchsorted(self.ends, sids, side="right")]
+        return extend_rows(
+            sids, keys, ends - sids - 1, self.items, self.base, frequent
         )
-        new_sids = _np.repeat(sids + 1, counts) + offsets
-        new_keys = _np.repeat(keys * base, counts) + self.items[new_sids]
-        return new_sids, new_keys
 
 
-def _recount_base_vectorized(
-    columns: _BaseColumns, q_new: set[int], k_prev: int, base: int
+def _recount_base(
+    columns: _BaseColumns, q_new: np.ndarray, k: int, keys: PatternKeys
 ) -> tuple[LevelPair, int]:
-    """Targeted base recount through a prefix-filtered extension chain.
+    """Base counts of the level-``k`` extensions of the prefixes ``q_new``.
 
-    Instances of the newly frequent prefixes are re-derived level by
-    level — filter to the length-``j`` prefixes of ``q_new``, extend
-    with the later items of the same transaction — so the recount only
-    materializes rows that can still reach one of the patterns, instead
-    of walking every base transaction.  Returns the counted extensions
-    as a sorted column pair plus the instance rows touched.
+    Instances of the newly frequent level-``(k-1)`` prefixes are
+    re-derived level by level — filter to the length-``j`` prefixes of
+    ``q_new`` (found by walking down the ranks), extend with the later
+    items of the same transaction — so the recount only materializes
+    rows that can still reach one of the patterns, instead of walking
+    every base transaction.  Returns the counted extensions as a sorted
+    column pair plus the instance rows touched.
     """
-    prefix_sets: list[set[int]] = [set() for _ in range(k_prev)]
-    for key in q_new:
-        packed = 0
-        for j, item in enumerate(unpack_key(key, k_prev, base)):
-            packed = packed * base + item
-            prefix_sets[j].add(packed)
-
-    def _wanted(prefixes: set[int]):
-        return _np.fromiter(
-            sorted(prefixes), dtype=_np.int64, count=len(prefixes)
-        )
-
-    sids = _np.flatnonzero(_np.isin(columns.items, _wanted(prefix_sets[0])))
-    keys = columns.items[sids]
+    wanted = {k - 1: q_new}
+    for j in range(k - 1, 1, -1):
+        wanted[j - 1] = keys.parents(wanted[j], j)
+    sids = np.flatnonzero(np.isin(columns.items, wanted[1]))
+    level_keys = columns.items[sids]
     rows = len(sids)
-    for prefixes in prefix_sets[1:]:
-        sids, keys = columns.extend_instances(sids, keys, base)
-        mask = _np.isin(keys, _wanted(prefixes))
+    for j in range(2, k):
+        sids, level_keys = columns.extend(
+            sids, level_keys, keys.prefixes(j - 1)
+        )
+        mask = np.isin(level_keys, wanted[j])
         sids = sids[mask]
-        keys = keys[mask]
+        level_keys = level_keys[mask]
         rows += len(sids)
-    _, keys = columns.extend_instances(sids, keys, base)
-    rows += len(keys)
-    unique, counts = _np.unique(keys, return_counts=True)
-    return (unique, counts), rows
+    _, level_keys = columns.extend(sids, level_keys, keys.prefixes(k - 1))
+    rows += len(level_keys)
+    return np.unique(level_keys, return_counts=True), rows
 
 
 def _mine_delta(
@@ -704,11 +622,12 @@ def _mine_delta(
         threshold_base = absolute_support_threshold(
             minimum_support, max(1, state.num_transactions)
         )
-        levels = _rekey_levels(state, catalog)
+        id_map = _id_map(state, catalog)
+        old_base = len(state.labels) + 1
         t_base = state.num_transactions
         s_base = state.num_sales_rows
 
-        delta_items = _tail_items(dataset, s_base)
+        delta_items = _items_between(dataset, s_base, None)
         delta_sales = InstanceRelation.sales_from_columns(
             delta_items,
             base=base,
@@ -716,31 +635,21 @@ def _mine_delta(
             trans_ids=dataset.trans_ids[t_base:],
         )
         index = delta_sales.index
+        keys = PatternKeys(base)
 
         # k = 1: merge the delta item counts onto the state's C_1.
-        pair1 = levels.get(1, _EMPTY_PAIR)
-        state_hits = len(pair1[0])
-        if _np is not None:
-            merged_pair = _combine_np(
-                [
-                    pair1,
-                    _np.unique(_as_np(delta_sales.keys), return_counts=True),
-                ]
-            )
-        else:
-            merged = dict(zip(pair1[0], pair1[1]))
-            for key, count in count_packed_keys(
-                delta_sales.keys, via=count_via
-            ):
-                merged[key] = merged.get(key, 0) + count
-            merged_pair = _pair_from_dict(merged)
+        old_keys, old_counts = state.levels.get(1, _EMPTY_PAIR)
+        state_hits = len(old_keys)
+        merged_pair = _combine(
+            [
+                (_translate(old_keys, 1, old_base, base, id_map, None),
+                 old_counts),
+                np.unique(delta_sales.keys, return_counts=True),
+            ]
+        )
         supported = _supported_slice(merged_pair, threshold)
-        f_list = [key for key, _ in supported]
         count_relations: dict[int, dict] = {
-            1: {
-                catalog.decode(unpack_key(key, 1, base)): count
-                for key, count in supported
-            }
+            1: {catalog.decode((key,)): count for key, count in supported}
         }
         num_sales = dataset.num_sales_rows
         iterations = [
@@ -749,17 +658,16 @@ def _mine_delta(
                 candidate_instances=num_sales,
                 supported_instances=num_sales,
                 candidate_patterns=len(merged_pair[0]),
-                supported_patterns=len(f_list),
+                supported_patterns=len(supported),
             )
         ]
         merged_levels: dict[int, LevelPair] = {1: merged_pair}
         iteration_seconds = {1: time.perf_counter() - started}
 
-        # R_1 is joined unfiltered (Section 4.1): the first extension
-        # carries no prefix condition, so prev_f None means "no filter".
+        # R_1 is joined unfiltered (Section 4.1): level 2 has no prefix
+        # condition, so no prefix map, no drop and no recount there.
         r_delta = delta_sales
-        prev_f: list[int] | None = None
-        prev_f_base: list[int] = []
+        prefix_map: np.ndarray | None = None
         base_columns: _BaseColumns | None = None
         recounted = 0
         base_rows_rescanned = 0
@@ -772,112 +680,65 @@ def _mine_delta(
             if max_length is not None and k > max_length:
                 break
             tick = time.perf_counter()
-            r_prime = suffix_extend(r_delta, index)
-            pair = levels.get(k, _EMPTY_PAIR)
-            # np_level mirrors suffix_extend's vectorization guard, so
-            # r_prime.keys is an int64 ndarray exactly when this is set.
-            np_level = _np is not None and base**k <= _INT64_MAX
-
-            recount_pair: LevelPair | None = None
-            recount_map: dict[int, int] | None = None
-            if prev_f is not None:
-                q_new = set(prev_f) - set(prev_f_base)
-                if q_new:
-                    if np_level:
-                        if base_columns is None:
-                            base_columns = _BaseColumns(
-                                dataset, t_base, s_base
-                            )
-                        recount_pair, rows = _recount_base_vectorized(
-                            base_columns, q_new, k - 1, base
-                        )
-                        recounted += len(recount_pair[0])
-                    else:
-                        # numpy-free installs, and the > 64-bit packed
-                        # key fallback, walk the base transactions.
-                        recount_map, rows = _recount_base_scan(
-                            dataset, q_new, k - 1, t_base, base
-                        )
-                        recounted += len(recount_map)
+            r_prime = suffix_extend(r_delta, index, keys.prefixes(k - 1))
+            old_keys, old_counts = state.levels.get(k, _EMPTY_PAIR)
+            translated = _translate(
+                old_keys, k, old_base, base, id_map, prefix_map
+            )
+            kept = translated >= 0
+            if kept.all():
+                parts = [(translated, old_counts)]
+            else:
+                parts = [(translated[kept], old_counts[kept])]
+            state_hits += len(parts[0][0])
+            if prefix_map is not None:
+                # Prefixes frequent now but not in the base: the base run
+                # never extended them, so their base counts are missing.
+                previous = keys.frequent[k - 1]
+                fresh = np.ones(len(previous), dtype=bool)
+                fresh[prefix_map[prefix_map >= 0]] = False
+                if fresh.any():
+                    if base_columns is None:
+                        base_columns = _BaseColumns(dataset, t_base, s_base)
+                    recount_pair, rows = _recount_base(
+                        base_columns, previous[fresh], k, keys
+                    )
+                    parts.append(recount_pair)
+                    recounted += len(recount_pair[0])
                     base_rows_rescanned += rows
                     recount_levels.append(k)
-
-            if np_level:
-                if prev_f is None:
-                    # Every 2-pattern in the base is a candidate: the
-                    # base map is complete, no prefix drop, no recount.
-                    kept = pair
-                else:
-                    state_keys = _as_np(pair[0])
-                    keep = _np.isin(
-                        state_keys // base,
-                        _np.fromiter(
-                            prev_f, dtype=_np.int64, count=len(prev_f)
-                        ),
-                    )
-                    kept = (state_keys[keep], _as_np(pair[1])[keep])
-                state_hits += len(kept[0])
-                parts = [kept]
-                if recount_pair is not None:
-                    parts.append(recount_pair)
-                parts.append(
-                    _np.unique(_as_np(r_prime.keys), return_counts=True)
-                )
-                merged_pair = _combine_np(parts)
-            else:
-                if prev_f is None:
-                    merged = dict(zip(pair[0], pair[1]))
-                else:
-                    prev_set = set(prev_f)
-                    merged = {
-                        key: count
-                        for key, count in zip(pair[0], pair[1])
-                        if key // base in prev_set
-                    }
-                state_hits += len(merged)
-                if recount_map is not None:
-                    for key, count in recount_map.items():
-                        merged[key] = merged.get(key, 0) + count
-                for key, count in count_packed_keys(
-                    r_prime.keys, via=count_via
-                ):
-                    merged[key] = merged.get(key, 0) + count
-                merged_pair = _pair_from_dict(merged)
+            parts.append(np.unique(r_prime.keys, return_counts=True))
+            merged_pair = _combine(parts)
 
             supported = _supported_slice(merged_pair, threshold)
-            f_list = [key for key, _ in supported]
+            frequent = keys.record(k, [key for key, _ in supported])
             supported_instances = sum(count for _, count in supported)
             iterations.append(
                 IterationStats(
                     k=k,
-                    candidate_instances=_sum_column(merged_pair[1]),
+                    candidate_instances=int(merged_pair[1].sum()),
                     supported_instances=supported_instances,
                     candidate_patterns=len(merged_pair[0]),
-                    supported_patterns=len(f_list),
+                    supported_patterns=len(supported),
                 )
             )
-            if f_list:
+            if supported:
                 count_relations[k] = {
-                    catalog.decode(unpack_key(key, k, base)): count
+                    catalog.decode(keys.decode(key, k)): count
                     for key, count in supported
                 }
             merged_levels[k] = merged_pair
-            r_delta = filter_by_keys(r_prime, set(f_list))
-            prev_f = f_list
-            if np_level and len(pair[0]):
-                frequent_in_base = _as_np(pair[1]) >= threshold_base
-                prev_f_base = _as_np(pair[0])[frequent_in_base].tolist()
-            else:
-                prev_f_base = [
-                    key
-                    for key, count in zip(pair[0], pair[1])
-                    if count >= threshold_base
-                ]
+            r_delta = filter_by_keys(r_prime, frequent)
+            # The saved F_k (counts at the base threshold) in the
+            # current key space, ranked in the current F_k.
+            prefix_map = _ranks_in(
+                frequent, translated[old_counts >= threshold_base]
+            )
             current_size = supported_instances
             iteration_seconds[k] = time.perf_counter() - tick
 
         total_patterns = sum(
-            len(keys) for keys, _ in merged_levels.values()
+            len(level_keys) for level_keys, _ in merged_levels.values()
         )
         extra: dict[str, Any] = {
             "count_via": count_via,
@@ -894,7 +755,7 @@ def _mine_delta(
             "delta_transactions": dataset.num_transactions - t_base,
             "delta_rows": len(delta_items),
             "total_rows": num_sales,
-            "state_levels": sorted(levels),
+            "state_levels": sorted(state.levels),
             "state_hits": state_hits,
             "recounted_patterns": recounted,
             "recount_levels": recount_levels,
@@ -905,19 +766,16 @@ def _mine_delta(
         }
         if measure_memory:
             extra["peak_memory_bytes"] = tracemalloc.get_traced_memory()[1]
+        item_keys, item_counts = merged_levels[1]
         result = MiningResult(
             algorithm="setm-incremental",
             num_transactions=dataset.num_transactions,
             minimum_support=minimum_support,
             support_threshold=threshold,
             count_relations=count_relations,
-            unfiltered_item_counts={
-                catalog.decode(unpack_key(key, 1, base))[0]: count
-                for key, count in zip(
-                    _as_list(merged_levels[1][0]),
-                    _as_list(merged_levels[1][1]),
-                )
-            },
+            unfiltered_item_counts=dict(
+                zip(catalog.decode(item_keys.tolist()), item_counts.tolist())
+            ),
             iterations=iterations,
             elapsed_seconds=time.perf_counter() - started,
             extra=extra,
@@ -962,7 +820,7 @@ class _StateCapturingKernel(ColumnarKernel):
         self.level_counts[1] = dict(counts)
         return counts
 
-    def count_and_filter(self, r_prime, threshold):
+    def _count_filter(self, r_prime, threshold):
         all_counts = count_packed_keys(r_prime.keys, via=self._count_via)
         self.level_counts[r_prime.k] = dict(all_counts)
         c_k = {key: count for key, count in all_counts if count >= threshold}

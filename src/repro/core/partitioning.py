@@ -5,7 +5,7 @@ are pure set operations with no cross-row dependencies.  Two engines
 exploit the same consequence in two directions:
 
 * the **spill** engine (:mod:`repro.core.setm_columnar_disk`) range-
-  partitions ``R'_k`` by packed pattern key into *files* and counts one
+  partitions ``R'_k`` by pattern key into *files* and counts one
   partition at a time to bound resident memory;
 * the **parallel** engine (:mod:`repro.core.setm_parallel`) range-
   partitions ``R'_k`` into *picklable payloads* and counts all
@@ -26,7 +26,7 @@ to live inline in the spill kernel):
   extension sampler strides across the *whole* of ``R_{k-1}`` so
   tid-correlated key drift cannot funnel rows into one partition.
 * :func:`split_by_key_ranges` — route a relation's rows to partitions
-  (one ``searchsorted``/``bisect`` pass plus per-partition compress).
+  (one ``searchsorted`` pass plus a per-partition mask).
 
 Key-range partitioning (as opposed to hashing or row slicing) is what
 makes per-partition counts *global* counts: every occurrence of a
@@ -34,35 +34,27 @@ pattern lands in exactly one partition, so the support filter can be
 applied locally and results merged by plain concatenation — no
 cross-partition count reconciliation.
 
-This module is a dependency near-leaf: it imports only the standard
-library and :mod:`repro.core.columns`.
+This module is a dependency near-leaf: it imports only numpy, the
+standard library and :mod:`repro.core.columns`.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from bisect import bisect_right
-from itertools import compress
 from math import ceil
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.columns import (
-    _CHUNK_FLAG_BIG_KEYS,
     InstanceRelation,
     SalesIndex,
-    chunk_frames,
     extension_counts,
     read_chunks,
     suffix_extend,
 )
 from repro.errors import PartitionFormatError
-
-try:  # pragma: no cover - same optional dependency as repro.core.columns
-    import numpy as _np
-except ImportError:
-    _np = None
 
 __all__ = [
     "PARTITION_PICKLE_VERSION",
@@ -73,7 +65,6 @@ __all__ = [
     "choose_boundaries",
     "concat_columns",
     "decode_buffer_chunks",
-    "decode_vector_chunks",
     "key_ranges",
     "output_slices",
     "sample_extension_boundaries",
@@ -92,47 +83,19 @@ ROW_BYTES = 16
 BOUNDARY_SAMPLE_ROWS = 2048
 
 
-def _int64_view(column):
-    """A numpy int64 view of an ``array('q')`` column (zero copy)."""
-    if isinstance(column, _np.ndarray):
-        return column
-    return _np.frombuffer(column, dtype=_np.int64)
-
-
-def decode_vector_chunks(
-    data: bytes, *, index: "SalesIndex | None" = None
-) -> list[InstanceRelation]:
-    """Deserialize a spill blob into chunks with vectorized columns.
-
-    The one decoder both partition consumers read spill bytes through
-    (the serial kernel in-process, the pooled engine inside its
-    workers), so they can never drift: int64 chunks load as
-    ``array('q')`` and are wrapped in zero-copy numpy views for the
-    counting/filter primitives; big-key fallback chunks stay plain
-    lists.  ``index`` reattaches the lazily-derived columns.
-    """
-    chunks = list(read_chunks(data, index=index))
-    if _np is not None:
-        for chunk in chunks:
-            if not isinstance(chunk.keys, list):
-                chunk.keys = _int64_view(chunk.keys)
-                chunk.last_sid = _int64_view(chunk.last_sid)
-    return chunks
-
-
 def decode_buffer_chunks(
     data, *, index: "SalesIndex | None" = None
 ) -> tuple[list[InstanceRelation], int]:
-    """Decode chunks from *any* buffer, int64 columns as zero-copy views.
+    """Decode every chunk of *any* buffer; columns are zero-copy views.
 
-    The transport-aware sibling of :func:`decode_vector_chunks`:
-    ``data`` may be a :class:`memoryview` over a shared-memory segment
-    or an ``mmap``-ed spill file, and when numpy is available the int64
-    ``keys``/``last_sid`` columns are built with ``np.frombuffer``
-    *directly over that buffer* — no intermediate ``bytes``, no
-    ``array`` copy.  Big-key fallback chunks (arbitrary-precision
-    Python integers) and the stdlib path necessarily copy, exactly as
-    :func:`decode_vector_chunks` does.
+    The one decoder every partition consumer reads chunk bytes through
+    (the serial spill kernel in-process, the pooled engines inside
+    their workers), so they can never drift.  ``data`` may be bytes, a
+    :class:`memoryview` over a shared-memory segment or an ``mmap``-ed
+    spill file: the int64 ``keys``/``last_sid`` columns are built with
+    ``np.frombuffer`` *directly over that buffer* — no intermediate
+    ``bytes``, no copy.  ``index`` reattaches the lazily-derived
+    columns.
 
     Returns ``(chunks, zero_copy_bytes)`` where ``zero_copy_bytes``
     counts the column bytes that were *viewed* rather than copied — the
@@ -142,50 +105,23 @@ def decode_buffer_chunks(
     releasing the underlying segment or map (the worker bodies do, by
     construction — replies are packed into fresh buffers).
     """
-    if _np is None:
-        payload = data if isinstance(data, bytes) else bytes(data)
-        return decode_vector_chunks(payload, index=index), 0
-    chunks: list[InstanceRelation] = []
-    zero_copy_bytes = 0
-    for flags, k, n, start, sid_off, key_off, end in chunk_frames(data):
-        if flags & _CHUNK_FLAG_BIG_KEYS:
-            chunk, _ = InstanceRelation.from_chunk_bytes(
-                data, start, index=index
-            )
-            if not isinstance(chunk.keys, list):
-                chunk.keys = _int64_view(chunk.keys)
-                chunk.last_sid = _int64_view(chunk.last_sid)
-            chunks.append(chunk)
-            continue
-        sids = _np.frombuffer(data, dtype=_np.int64, count=n, offset=sid_off)
-        keys = _np.frombuffer(data, dtype=_np.int64, count=n, offset=key_off)
-        zero_copy_bytes += 16 * n
-        chunks.append(
-            InstanceRelation(
-                None, None, last_sid=sids, keys=keys, k=k, index=index
-            )
-        )
-    return chunks, zero_copy_bytes
+    chunks = list(read_chunks(data, index=index))
+    return chunks, sum(16 * len(chunk) for chunk in chunks)
 
 
-def concat_columns(columns: list) -> Any:
-    """One column from per-chunk columns (ndarray when uniformly possible)."""
+def concat_columns(columns: list) -> np.ndarray:
+    """One int64 column from per-chunk columns."""
     if len(columns) == 1:
         return columns[0]
-    if _np is not None and all(
-        not isinstance(column, list) for column in columns
-    ):
-        return _np.concatenate([_int64_view(column) for column in columns])
-    merged: list[int] = []
-    for column in columns:
-        merged.extend(column)
-    return merged
+    return np.concatenate(
+        [np.asarray(column, dtype=np.int64) for column in columns]
+    )
 
 
 def slice_rows(
     relation: InstanceRelation, start: int, stop: int
 ) -> InstanceRelation:
-    """A zero-or-cheap-copy row range of a loop relation."""
+    """A zero-copy row range of a loop relation."""
     return InstanceRelation(
         None,
         None,
@@ -206,50 +142,32 @@ def output_slices(counts, target_rows: int) -> list[tuple[int, int]]:
     n = len(counts)
     if n == 0:
         return []
-    if _np is not None and isinstance(counts, _np.ndarray):
-        cumulative = _np.cumsum(counts)
-        total = int(cumulative[-1])
-        if total <= target_rows:
-            return [(0, n)]
-        marks = _np.searchsorted(
-            cumulative,
-            _np.arange(target_rows, total, target_rows),
-            side="left",
-        )
-        edges = [0]
-        for mark in (marks + 1).tolist():
-            if edges[-1] < mark < n:
-                edges.append(mark)
-        edges.append(n)
-        return list(zip(edges, edges[1:]))
-    slices: list[tuple[int, int]] = []
-    start = 0
-    emitted = 0
-    for i, c in enumerate(counts):
-        if emitted >= target_rows and i > start:
-            slices.append((start, i))
-            start, emitted = i, 0
-        emitted += c
-    slices.append((start, n))
-    return slices
+    cumulative = np.cumsum(counts)
+    total = int(cumulative[-1])
+    if total <= target_rows:
+        return [(0, n)]
+    marks = np.searchsorted(
+        cumulative, np.arange(target_rows, total, target_rows), side="left"
+    )
+    edges = [0]
+    for mark in (marks + 1).tolist():
+        if edges[-1] < mark < n:
+            edges.append(mark)
+    edges.append(n)
+    return list(zip(edges, edges[1:]))
 
 
 def choose_boundaries(keys, partitions: int) -> list[int]:
     """``partitions - 1`` ascending boundary keys (sample quantiles).
 
     Partition ``p`` then holds the keys ``k`` with
-    ``boundaries[p-1] <= k < boundaries[p]`` under the
-    ``bisect_right`` routing of :func:`split_by_key_ranges` (duplicated
-    boundary values simply leave some partitions empty — coverage stays
-    disjoint and total).
+    ``boundaries[p-1] <= k < boundaries[p]`` under the routing of
+    :func:`split_by_key_ranges` (duplicated boundary values simply leave
+    some partitions empty — coverage stays disjoint and total).
     """
-    if _np is not None and isinstance(keys, _np.ndarray):
-        ordered = _np.sort(keys)
-        n = len(ordered)
-        return [int(ordered[n * i // partitions]) for i in range(1, partitions)]
-    ordered = sorted(keys)
+    ordered = np.sort(np.asarray(keys, dtype=np.int64))
     n = len(ordered)
-    return [ordered[n * i // partitions] for i in range(1, partitions)]
+    return [int(ordered[n * i // partitions]) for i in range(1, partitions)]
 
 
 def boundaries_from_keys(
@@ -268,10 +186,7 @@ def boundaries_from_keys(
     if n == 0:
         return None
     stride = max(1, n // sample_rows)
-    if _np is not None and isinstance(keys, (_np.ndarray, array)):
-        sample = _int64_view(keys)[::stride]
-        return choose_boundaries(_np.asarray(sample), partitions)
-    sample = [keys[i] for i in range(0, n, stride)]
+    sample = np.asarray(keys, dtype=np.int64)[::stride]
     return choose_boundaries(sample, partitions)
 
 
@@ -281,40 +196,39 @@ def sample_extension_boundaries(
     total_rows: int,
     partitions: int,
     *,
+    frequent: np.ndarray | None = None,
     sample_rows: int = BOUNDARY_SAMPLE_ROWS,
 ) -> list[int] | None:
     """Partition boundaries from a whole-input sample of *output* keys.
 
     Quantiles of a single merge slice's keys would inherit that slice's
-    position in the tid-ordered input — a database whose packed keys
-    drift with trans_id would then funnel most rows into one partition
-    and void the memory bound.  Instead, rows strided across *all* of
+    position in the tid-ordered input — a database whose keys drift
+    with trans_id would then funnel most rows into one partition and
+    void the memory bound.  Instead, rows strided across *all* of
     ``R_{k-1}`` are extended (exactly the keys the merge will emit for
-    them) and the boundaries are quantiles of that global sample.  For
-    spilled input this re-reads ``R_{k-1}`` once — the small filtered
-    relation, not ``R'_k``.  Returns ``None`` when the sample has no
-    extensions (the caller then falls back to first-slice quantiles).
+    them; ``frequent`` is the merge's rank array, as for
+    :func:`~repro.core.columns.suffix_extend`) and the boundaries are
+    quantiles of that global sample.  For spilled input this re-reads
+    ``R_{k-1}`` once — the small filtered relation, not ``R'_k``.
+    Returns ``None`` when the sample has no extensions (the caller then
+    falls back to first-slice quantiles).
     """
     stride = max(1, total_rows // sample_rows)
-    sample_keys: list[int] = []
+    samples = []
     for chunk in chunks:
-        positions = range(0, len(chunk), stride)
-        # Plain ints, not np.int64 scalars: the sampled relation may
-        # feed the big-integer fallback of suffix_extend, whose
-        # ``int.__mul__`` packing rejects numpy scalars.
+        if len(chunk) == 0:
+            continue
         sampled = InstanceRelation(
             None,
             None,
-            last_sid=[int(chunk.last_sid[i]) for i in positions],
-            keys=[int(chunk.keys[i]) for i in positions],
+            last_sid=np.asarray(chunk.last_sid)[::stride],
+            keys=np.asarray(chunk.keys)[::stride],
             k=chunk.k,
             index=index,
         )
-        extended = suffix_extend(sampled, index)
-        if len(extended) == 0:
-            continue
-        sample_keys.extend(int(key) for key in extended.keys)
-    if not sample_keys:
+        samples.append(suffix_extend(sampled, index, frequent).keys)
+    sample_keys = np.concatenate(samples) if samples else np.empty(0, np.int64)
+    if len(sample_keys) == 0:
         return None
     return choose_boundaries(sample_keys, partitions)
 
@@ -342,38 +256,24 @@ def split_by_key_ranges(
     """Route rows to key-range partitions; yield non-empty ``(p, rows)``.
 
     Partition indices ascend, so consuming the iterator in order visits
-    partitions in ascending key-range order.  One ``searchsorted`` /
-    ``bisect`` pass assigns every row; each partition's rows are then a
-    mask/compress copy preserving input order.
+    partitions in ascending key-range order.  One ``searchsorted`` pass
+    assigns every row; each partition's rows are then a mask copy
+    preserving input order.
     """
-    keys = relation.keys
-    if _np is not None and isinstance(keys, _np.ndarray):
-        assignment = _np.searchsorted(
-            _np.asarray(boundaries, dtype=_np.int64), keys, side="right"
-        )
-        for p in range(len(boundaries) + 1):
-            mask = assignment == p
-            if not mask.any():
-                continue
-            yield p, InstanceRelation(
-                None,
-                None,
-                last_sid=relation.last_sid[mask],
-                keys=keys[mask],
-                k=relation.k,
-                index=relation.index,
-            )
-        return
-    assignment = [bisect_right(boundaries, key) for key in keys]
+    keys = np.asarray(relation.keys, dtype=np.int64)
+    last_sid = np.asarray(relation.last_sid, dtype=np.int64)
+    assignment = np.searchsorted(
+        np.asarray(boundaries, dtype=np.int64), keys, side="right"
+    )
     for p in range(len(boundaries) + 1):
-        selector = [a == p for a in assignment]
-        if not any(selector):
+        mask = assignment == p
+        if not mask.any():
             continue
         yield p, InstanceRelation(
             None,
             None,
-            last_sid=list(compress(relation.last_sid, selector)),
-            keys=list(compress(keys, selector)),
+            last_sid=last_sid[mask],
+            keys=keys[mask],
             k=relation.k,
             index=relation.index,
         )
@@ -410,9 +310,7 @@ class Partition:
     range, counting a partition yields *global* counts for every
     pattern it contains.
 
-    Partitions are picklable whatever the descriptor (including the
-    length-prefixed big-key fallback chunks produced when packed keys
-    exceed 64 bits); the pickle carries
+    Partitions are picklable whatever the descriptor; the pickle carries
     :data:`PARTITION_PICKLE_VERSION` so version skew inside a pool
     fails typed and early.
     """
@@ -610,7 +508,7 @@ class PartitionPlan:
         row_bytes: int = ROW_BYTES,
     ) -> "PartitionPlan":
         """Price ``relation``'s merge output exactly, then plan."""
-        predicted = int(sum(extension_counts(relation, index)))
+        predicted = int(extension_counts(relation, index).sum())
         return cls.from_predicted_rows(
             predicted, share_bytes, row_bytes=row_bytes
         )

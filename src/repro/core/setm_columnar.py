@@ -2,8 +2,8 @@
 
 Same Figure 4, different representation: relations are the
 dictionary-encoded, array-backed columns of :mod:`repro.core.columns`
-and patterns are packed integers, so the loop body runs as a handful of
-fused column passes instead of per-row tuple work.  The engine is
+and patterns are dense int64 keys, so the loop body runs as a handful
+of fused column passes instead of per-row tuple work.  The engine is
 differentially held to :func:`repro.core.setm.setm` — identical count
 relations *and* identical :class:`~repro.core.result.IterationStats`
 cardinalities — because both drive the shared
@@ -16,11 +16,10 @@ extension walks ascending sales items), and the support filter keeps
 row order.  ``(trans_id, items)`` order is therefore a loop invariant,
 ``sort R_{k-1} on trans_id, ...`` is a no-op, and ``sort R'_k on
 item_1, ..., item_k`` collapses into the counting step — a key-free
-integer sort of the packed keys (``count_via="sort"``, vectorized as
-``np.unique`` when numpy is available) or a single hash pass
-(``count_via="hash"``): the perf engine has no obligation to sort where
-the faithful one must.  The default ``"auto"`` picks whichever is
-fastest for the active kernel path.
+integer sort of the pattern keys (``count_via="sort"``, ``np.unique``)
+or a single hash pass (``count_via="hash"``): the perf engine has no
+obligation to sort where the faithful one must.  The default
+``"auto"`` is the sort.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from typing import Literal
 
 from repro.core.columns import (
     InstanceRelation,
+    PatternKeys,
     SalesIndex,
     count_packed_keys,
     filter_by_keys,
     suffix_extend,
-    unpack_key,
 )
 from repro.core.result import MiningResult, Pattern
 from repro.core.setm import KernelLifecycle, run_figure4_loop
@@ -47,10 +46,16 @@ __all__ = ["ColumnarKernel", "setm_columnar"]
 class ColumnarKernel(KernelLifecycle):
     """Figure 4's steps over :class:`InstanceRelation` columns.
 
-    Patterns travel as packed integers (mixed radix ``self._base``, which
-    exceeds every dictionary id, so numeric order equals lexicographic
-    pattern order); labels are decoded only for the final
+    Patterns travel as the dense int64 keys of
+    :mod:`repro.core.columns` (numeric order equals lexicographic
+    pattern order); every :meth:`count_and_filter` records ``F_k`` in
+    ``self._keys``, which ranks the next merge's prefixes and decodes
+    keys back to item ids.  Labels are decoded only for the final
     :class:`~repro.core.result.MiningResult`.
+
+    Subclasses change how a level is counted by overriding
+    :meth:`_count_filter`; :meth:`count_and_filter` keeps the key
+    bookkeeping in one place.
 
     ``database`` may be a classic :class:`TransactionDatabase` *or* a
     stream-encoded :class:`~repro.data.ingest.EncodedDataset`: the
@@ -82,8 +87,8 @@ class ColumnarKernel(KernelLifecycle):
             self._ingest_stats = (
                 stats.as_dict() if stats is not None else None
             )
-        # Ids run 1..len(catalog); any base > max id packs injectively.
-        self._base = len(self._catalog) + 1
+        # Ids run 1..len(catalog); any base > max id keys injectively.
+        self._keys = PatternKeys(len(self._catalog) + 1)
         self._count_via: Literal["auto", "sort", "hash"] = count_via
         self._index: SalesIndex | None = None
 
@@ -106,7 +111,7 @@ class ColumnarKernel(KernelLifecycle):
         return {}
 
     def c1_counts(self, sales: InstanceRelation) -> list[tuple[int, int]]:
-        # For k = 1 the packed key *is* the item id; no pack pass needed.
+        # For k = 1 the key *is* the item id.
         return count_packed_keys(sales.keys, via=self._count_via)
 
     def resort_by_tid(self, r: InstanceRelation) -> InstanceRelation:
@@ -119,9 +124,19 @@ class ColumnarKernel(KernelLifecycle):
         self, r: InstanceRelation, sales: InstanceRelation
     ) -> InstanceRelation:
         assert self._index is not None  # make_sales always ran first
-        return suffix_extend(r, self._index)
+        return suffix_extend(r, self._index, self._keys.prefixes(r.k))
 
     def count_and_filter(
+        self, r_prime, threshold: int
+    ) -> tuple[int, dict[int, int], InstanceRelation]:
+        candidate_patterns, c_k, r_next = self._count_filter(
+            r_prime, threshold
+        )
+        # F_k ranks the prefixes of level k+1 and decodes its keys.
+        self._keys.record(r_prime.k, c_k)
+        return candidate_patterns, c_k, r_next
+
+    def _count_filter(
         self, r_prime: InstanceRelation, threshold: int
     ) -> tuple[int, dict[int, int], InstanceRelation]:
         all_counts = count_packed_keys(r_prime.keys, via=self._count_via)
@@ -133,7 +148,7 @@ class ColumnarKernel(KernelLifecycle):
         return len(r)
 
     def decode(self, key: int, k: int) -> Pattern:
-        return self._catalog.decode(unpack_key(key, k, self._base))
+        return self._catalog.decode(self._keys.decode(key, k))
 
 
 @register_engine(
@@ -163,12 +178,11 @@ def setm_columnar(
     max_length:
         Optional cap on pattern length.
     count_via:
-        ``"auto"`` (default: the fastest strategy the kernel path
-        offers), ``"hash"`` (one Counter pass over packed keys), or
-        ``"sort"`` (key-free integer sort + run-length scan — the
-        paper-shaped strategy, vectorized as ``np.unique`` when numpy
-        is available).  Identical counts any way; the knob feeds the
-        counting-strategy ablation benchmark.
+        ``"auto"`` (default, the same as ``"sort"``), ``"hash"`` (one
+        Counter pass over the pattern keys), or ``"sort"`` (key-free
+        integer sort + run-length scan — the paper-shaped strategy,
+        vectorized as ``np.unique``).  Identical counts any way; the
+        knob feeds the counting-strategy ablation benchmark.
 
     Returns
     -------

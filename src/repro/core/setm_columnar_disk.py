@@ -13,7 +13,7 @@ intermediates, not ``SALES``, are the multiplicatively large objects
   known exactly *before* a single row is materialized (the
   :class:`~repro.core.partitioning.PartitionPlan`).
 * **Key-range spill partitions.**  When the planned ``R'_k`` exceeds
-  its budget share, slice outputs are range-partitioned by packed
+  its budget share, slice outputs are range-partitioned by
   pattern key into ``P = ceil(bytes / share)``
   :class:`~repro.core.partitioning.Partition` spill files (boundaries
   are quantiles sampled stride-wise from the *whole* input, so skewed
@@ -61,7 +61,7 @@ from repro.core.partitioning import (
     PartitionPlan,
     choose_boundaries,
     concat_columns,
-    decode_vector_chunks,
+    decode_buffer_chunks,
     key_ranges,
     output_slices,
     sample_extension_boundaries,
@@ -207,7 +207,7 @@ class SpillingColumnarKernel(ColumnarKernel):
 
     def _decode_chunks(self, data: bytes) -> list[InstanceRelation]:
         self._bytes_read += len(data)
-        return decode_vector_chunks(data, index=self._index)
+        return decode_buffer_chunks(data, index=self._index)[0]
 
     def _load_chunks(self, path: Path) -> list[InstanceRelation]:
         return self._decode_chunks(path.read_bytes())
@@ -235,6 +235,7 @@ class SpillingColumnarKernel(ColumnarKernel):
     def merge_extend(self, r, sales):
         index = self._index
         assert index is not None  # make_sales always ran first
+        frequent = self._keys.prefixes(r.k)
         if isinstance(r, InstanceRelation):
             plan = PartitionPlan.from_extension_counts(
                 r, index, self._share_bytes
@@ -248,7 +249,7 @@ class SpillingColumnarKernel(ColumnarKernel):
             # Fits one budget share: materialize in memory, as the plain
             # columnar kernel would.
             pieces = [
-                suffix_extend(chunk, index)
+                suffix_extend(chunk, index, frequent)
                 for chunk in self._iter_chunks(r, delete=True)
             ]
             if len(pieces) == 1:
@@ -267,7 +268,11 @@ class SpillingColumnarKernel(ColumnarKernel):
         partitions = plan.num_partitions
         self._partitions_per_k[self._k] = partitions
         boundaries = sample_extension_boundaries(
-            self._iter_chunks(r), index, self.size(r), partitions
+            self._iter_chunks(r),
+            index,
+            self.size(r),
+            partitions,
+            frequent=frequent,
         )
         paths = [
             self._spill_path(f"rprime-k{self._k}-p{p}")
@@ -278,7 +283,9 @@ class SpillingColumnarKernel(ColumnarKernel):
             for chunk in self._iter_chunks(r, delete=True):
                 counts = extension_counts(chunk, index)
                 for start, stop in output_slices(counts, self._slice_rows):
-                    out = suffix_extend(slice_rows(chunk, start, stop), index)
+                    out = suffix_extend(
+                        slice_rows(chunk, start, stop), index, frequent
+                    )
                     if len(out) == 0:
                         continue
                     if boundaries is None:
@@ -299,9 +306,9 @@ class SpillingColumnarKernel(ColumnarKernel):
             r.k + 1,
         )
 
-    def count_and_filter(self, r_prime, threshold: int):
+    def _count_filter(self, r_prime, threshold: int):
         if isinstance(r_prime, InstanceRelation):
-            return super().count_and_filter(r_prime, threshold)
+            return super()._count_filter(r_prime, threshold)
 
         index = self._index
         candidate_patterns = 0
@@ -340,7 +347,7 @@ class SpillingColumnarKernel(ColumnarKernel):
                     self._write_chunk(survivors, out_handle)
                     out_rows += len(survivors)
                     out_extension_rows += int(
-                        sum(extension_counts(survivors, index))
+                        extension_counts(survivors, index).sum()
                     )
         finally:
             if out_handle is not None:

@@ -11,14 +11,14 @@ enough to parallelize:
 * **Extension and spilling are inherited unchanged** from
   :class:`~repro.core.setm_columnar_disk.SpillingColumnarKernel`:
   ``R'_k`` is priced before materialization, built in budget-bounded
-  slices, and range-partitioned by packed pattern key into
+  slices, and range-partitioned by pattern key into
   :class:`~repro.core.partitioning.Partition` spill files.  A relation
   that fits one budget share never touches the disk — or the pool.
 * **Counting and filtering move to the workers.**  Each spilled
   partition travels to the cached pool of :mod:`setm_parallel` *by
   path* (the work unit carries its spill file's location, not its
   bytes — the pickle is a file name, not a relation).  A worker loads
-  the partition, counts its packed keys, applies the HAVING threshold
+  the partition, counts its pattern keys, applies the HAVING threshold
   locally (key ranges are disjoint, so per-partition counts are global
   counts), filters the survivors, and writes them straight back to a
   spill file as the worker's share of ``R_k``.
@@ -50,15 +50,12 @@ transparently recreated on the next run
 from __future__ import annotations
 
 import os
-from array import array
 from pathlib import Path
 from typing import Any, Literal
 
-from repro.core.columns import (
-    _int64_column_bytes,
-    count_packed_keys,
-    filter_by_keys,
-)
+import numpy as np
+
+from repro.core.columns import count_packed_keys, filter_by_keys
 from repro.core.partitioning import (
     Partition,
     concat_columns,
@@ -88,17 +85,12 @@ from repro.core.transport import (
 )
 from repro.registry import register_engine
 
-try:  # pragma: no cover - same optional dependency as repro.core.columns
-    import numpy as _np
-except ImportError:
-    _np = None
-
 __all__ = ["SpillParallelKernel", "setm_spill_parallel"]
 
 
 def _count_filter_partition(
     task: tuple[Partition, str, int, str, str, str | None],
-) -> tuple[int, str, tuple, int, int, int, int, int]:
+) -> tuple[int, tuple, int, int, int, int, int]:
     """Worker body: count one on-disk partition and spill its survivors.
 
     Runs in the pool process.  The :class:`Partition` arrives by
@@ -106,12 +98,12 @@ def _count_filter_partition(
     is a file name plus a threshold; under the ``mmap`` transport the
     file is mapped and the int64 columns decoded as views over the map
     instead of a whole-blob read.  The whole per-partition pipeline of
-    the serial spill engine runs here: count packed keys, apply the
+    the serial spill engine runs here: count pattern keys, apply the
     HAVING threshold (global, because key ranges are disjoint), filter
     the chunks, write the survivors to ``out_path`` in the same chunk
     format, and delete the consumed input partition.
 
-    Returns ``(candidate_patterns, kind, reply_envelope, rows_written,
+    Returns ``(candidate_patterns, reply_envelope, rows_written,
     chunks_written, bytes_written, bytes_read, zero_copy_bytes)``.  The
     envelope carries the supported ``(keys, counts)`` buffers plus the
     survivors' ``last_sid`` column — one flat int64 buffer end to end,
@@ -146,12 +138,7 @@ def _count_filter_partition(
                         bytes_written += len(blob)
                         chunks_written += 1
                         rows_written += len(survivors)
-                        # Cursor values are always < 2**63 (row numbers),
-                        # so even a big-key chunk's column flattens to
-                        # native int64 bytes without an intermediate list.
-                        sid_parts.append(
-                            _int64_column_bytes(survivors.last_sid)
-                        )
+                        sid_parts.append(survivors.last_sid.tobytes())
                 if rows_written == 0:  # every survivor lived elsewhere
                     os.remove(out_path)
             # The chunk columns (and a single-chunk key view) borrow the
@@ -162,13 +149,12 @@ def _count_filter_partition(
             supported = {}
         del chunks
     partition.delete()
-    kind, distinct, tally_bytes = _pack_counts(list(supported.items()))
     envelope = pack_buffers(
-        [distinct, tally_bytes, b"".join(sid_parts)], reply_name
+        [*_pack_counts(list(supported.items())), b"".join(sid_parts)],
+        reply_name,
     )
     return (
         len(counts),
-        kind,
         envelope,
         rows_written,
         chunks_written,
@@ -219,18 +205,18 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
 
     # -- Figure-4 steps -------------------------------------------------------------
 
-    def count_and_filter(self, r_prime, threshold: int):
+    def _count_filter(self, r_prime, threshold: int):
         if not isinstance(r_prime, SpilledPartitions):
             # Fits one budget share: counted in-process, exactly as the
             # serial columnar kernel would.  Empty iterations are not
             # "in process" — there was nothing to count at all.
             if self.size(r_prime):
                 self._in_process.append(self._k)
-            return super().count_and_filter(r_prime, threshold)
+            return super()._count_filter(r_prime, threshold)
         if self._workers <= 1 or len(r_prime.partitions) < 2:
             if r_prime.partitions:
                 self._in_process.append(self._k)
-            return super().count_and_filter(r_prime, threshold)
+            return super()._count_filter(r_prime, threshold)
 
         mode = self._negotiated_transport()
         candidate_patterns = 0
@@ -261,7 +247,6 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
             for task, reply in zip(tasks, replies):
                 (
                     candidates,
-                    kind,
                     envelope,
                     rows_written,
                     chunks_written,
@@ -272,9 +257,8 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
                 session.note_zero_copy(zero_copy)
                 distinct, tally_bytes, sid_bytes = session.collect(envelope)
                 candidate_patterns += candidates
-                keys, tallies = _unpack_counts((kind, distinct, tally_bytes))
-                for key, count in zip(keys, tallies):
-                    c_k[int(key)] = int(count)
+                keys, tallies = _unpack_counts(distinct, tally_bytes)
+                c_k.update(zip(keys, tallies))
                 self._bytes_read += bytes_read
                 self._bytes_written += bytes_written
                 self._chunks_written += chunks_written
@@ -301,13 +285,8 @@ class SpillParallelKernel(PoolTransportMixin, SpillingColumnarKernel):
         column — 8 bytes of IPC per surviving row instead of re-reading
         the ``R_k`` spill file.
         """
-        ext = self._index.ext_counts
-        if _np is not None:
-            sids = _np.frombuffer(sid_bytes, dtype=_np.int64)
-            return int(_np.sum(ext[sids]))
-        sids = array("q")
-        sids.frombytes(sid_bytes)
-        return sum(map(ext.__getitem__, sids))
+        sids = np.frombuffer(sid_bytes, dtype=np.int64)
+        return int(self._index.ext_counts[sids].sum())
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -175,8 +175,8 @@ class CatalogBuilder:
     """Incremental bulk encoding for inputs read in bounded chunks.
 
     :class:`ItemCatalog` assigns ids in sorted label order — an
-    invariant the packed-key machinery of :mod:`repro.core.columns`
-    relies on (numeric id order must equal lexicographic label order).
+    invariant the pattern keys of :mod:`repro.core.columns`
+    rely on (numeric id order must equal lexicographic label order).
     A streaming reader cannot honour that order up front because it has
     not seen all the labels yet, so this builder encodes with
     *provisional* ids in first-appearance order and :meth:`build`

@@ -238,11 +238,7 @@ class EncodedDataset:
             merged = _column()
             for partition in self._partitions:
                 for chunk in read_chunks(partition.read_bytes()):
-                    keys = chunk.keys
-                    if isinstance(keys, array):
-                        merged.extend(keys)
-                    else:
-                        merged.extend(_column(keys))
+                    merged.frombytes(chunk.keys.tobytes())
                 partition.delete()
             if self._items is not None:
                 merged.extend(self._items)
@@ -278,7 +274,7 @@ class EncodedDataset:
         )
 
     def iter_item_chunks(self):
-        """Yield the encoded item column in its physical pieces.
+        """Yield the encoded item column in its physical int64 pieces.
 
         Spilled chunks stream one at a time without merging — the seam
         the incremental-mining work builds on.  Does not consume the
@@ -286,8 +282,7 @@ class EncodedDataset:
         """
         for partition in self._partitions:
             for chunk in read_chunks(partition.read_bytes()):
-                keys = chunk.keys
-                yield keys if isinstance(keys, array) else _column(keys)
+                yield chunk.keys
         if self._items is not None and (self._partitions or self._items):
             yield self._items
 

@@ -14,6 +14,7 @@ Hierarchy::
     │   └── InvalidSupportError               bad support / confidence value
     ├── UnknownAlgorithmError (+ ValueError)  name not in the registry
     ├── EngineOptionError (+ TypeError)       option the engine rejects
+    ├── KeySpaceError (+ OverflowError)       pattern keys would pass int64
     ├── TransportError                        partition-transport layer
     │   └── PartitionFormatError (+ ValueError)  descriptor version mismatch
     ├── StateError                            incremental mining state
@@ -44,6 +45,7 @@ __all__ = [
     "IngestError",
     "InvalidConfigError",
     "InvalidSupportError",
+    "KeySpaceError",
     "PartitionFormatError",
     "PlanError",
     "ProtocolError",
@@ -152,6 +154,17 @@ class EngineOptionError(ReproError, TypeError):
             f"engine {engine!r} does not accept option(s) {rejected}; "
             f"accepted options: {legal}"
         )
+
+
+class KeySpaceError(ReproError, OverflowError):
+    """A level's pattern keys would not fit a signed 64-bit integer.
+
+    The columnar kernels key a level-``k+1`` pattern by its prefix's rank
+    in the sorted frequent level-``k`` keys times the item radix (see
+    :mod:`repro.core.columns`), so a key stays below
+    ``len(F_k) * (|catalog| + 1)``.  That bound is checked before every
+    extension; the error is raised instead of letting a key wrap.
+    """
 
 
 class TransportError(ReproError):

@@ -73,19 +73,14 @@ class TestRegistry:
             ALGORITHMS["fpgrowth"]
         assert "fpgrowth" not in ALGORITHMS
 
-    def test_mutation_warns_deprecation(self, example_db):
-        sentinel = ALGORITHMS["setm"]
-        with pytest.warns(DeprecationWarning):
-            ALGORITHMS["legacy-custom"] = sentinel
-        try:
-            result = mine_frequent_itemsets(
-                example_db, 0.30, algorithm="legacy-custom"
-            )
-            assert result.count_relations[2]
-        finally:
-            with pytest.warns(DeprecationWarning):
-                del ALGORITHMS["legacy-custom"]
+    def test_assignment_raises_type_error(self):
+        """The view is read-only; engines register via register_engine."""
+        with pytest.raises(TypeError):
+            ALGORITHMS["legacy-custom"] = ALGORITHMS["setm"]
+        with pytest.raises(TypeError):
+            del ALGORITHMS["setm"]
         assert "legacy-custom" not in ALGORITHMS
+        assert "setm" in ALGORITHMS
 
 
 class TestRules:
@@ -127,7 +122,7 @@ class TestRules:
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
 
     def test_public_names_importable(self):
         for name in repro.__all__:

@@ -4,36 +4,24 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
 
-import repro.core.columns as columns
 from repro.core.columns import (
     InstanceRelation,
+    PatternKeys,
     SalesIndex,
     count_packed_keys,
     count_sorted_rows,
     filter_by_keys,
-    pack_keys,
     suffix_extend,
     take,
     tid_group_bounds,
-    unpack_key,
 )
-from repro.core.setm import merge_scan_extend
-from repro.core.transactions import ItemCatalog, TransactionDatabase
-
-HAVE_NUMPY = columns._np is not None
-
-
-@pytest.fixture(params=["stdlib", "numpy"])
-def kernel_path(request, monkeypatch):
-    """Run the test under both kernel paths (numpy one when available)."""
-    if request.param == "numpy":
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-    else:
-        monkeypatch.setattr(columns, "_np", None)
-    return request.param
+from repro.core.setm import merge_scan_extend, setm
+from repro.core.setm_columnar import ColumnarKernel
+from repro.core.transactions import TransactionDatabase
+from repro.errors import KeySpaceError, ReproError
 
 
 def small_db() -> TransactionDatabase:
@@ -90,7 +78,7 @@ class TestInstanceRelation:
         assert list(relation.keys) == list(relation.items[0])
         assert list(relation.last_sid) == list(range(len(relation)))
 
-    def test_lazy_tids_and_items_materialize(self, kernel_path):
+    def test_lazy_tids_and_items_materialize(self):
         db = small_db()
         sales = sales_relation(db)
         r_prime = suffix_extend(sales, sales.index)
@@ -110,7 +98,7 @@ class TestInstanceRelation:
 
 
 class TestSalesIndex:
-    def test_ext_counts_against_bruteforce(self, kernel_path):
+    def test_ext_counts_against_bruteforce(self):
         db = small_db()
         sales = sales_relation(db)
         index = sales.index
@@ -121,7 +109,7 @@ class TestSalesIndex:
             )
             assert int(index.ext_counts[position]) == remaining
 
-    def test_from_relation_matches_database_path(self, kernel_path):
+    def test_from_relation_matches_database_path(self):
         db = small_db()
         sales = sales_relation(db)
         rebuilt = SalesIndex.from_relation(
@@ -138,7 +126,7 @@ class TestSalesIndex:
 
 
 class TestSuffixExtend:
-    def test_matches_tuple_merge_scan(self, kernel_path):
+    def test_matches_tuple_merge_scan(self):
         db = small_db()
         sales = sales_relation(db)
         encoded_rows = list(sales.rows())
@@ -148,13 +136,57 @@ class TestSuffixExtend:
         )
         assert r_prime.k == 2
 
-    def test_keys_are_packed_patterns(self, kernel_path):
+    def test_level_two_keys_carry_both_items(self):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         base = sales.index.base
-        assert list(map(int, r_prime.keys)) == pack_keys(r_prime, base)
+        assert r_prime.keys.tolist() == [
+            first * base + second for _, first, second in r_prime.rows()
+        ]
 
-    def test_empty_relation(self, kernel_path):
+    def test_deeper_levels_need_the_frequent_prefixes(self):
+        sales = sales_relation(small_db())
+        r_prime = suffix_extend(sales, sales.index)
+        with pytest.raises(ValueError, match="frequent"):
+            suffix_extend(r_prime, sales.index)
+        with pytest.raises(ValueError, match="frequent"):
+            suffix_extend(sales, sales.index, np.array([1], dtype=np.int64))
+
+    def test_prefix_is_the_rank_in_the_frequent_keys(self):
+        sales = sales_relation(small_db())
+        r2 = suffix_extend(sales, sales.index)
+        frequent = np.unique(r2.keys)
+        r3 = suffix_extend(r2, sales.index, frequent)
+        base = sales.index.base
+        heads, items = np.divmod(r3.keys, base)
+        assert (heads < len(frequent)).all()
+        expected = sorted(
+            merge_scan_extend(list(r2.rows()), list(sales.rows()))
+        )
+        assert sorted(
+            (tid, *divmod(int(frequent[head]), base), item)
+            for tid, head, item in zip(
+                r3.tids.tolist(), heads.tolist(), items.tolist()
+            )
+        ) == expected
+
+    def test_rows_stay_sorted_at_every_level(self):
+        """Rank is monotone in the key: every R'_k comes out sorted by
+        (trans_id, key) with no re-sort, at every depth."""
+        db = TransactionDatabase(
+            [(tid, list("ABCDEF")) for tid in (1, 2, 4)]
+            + [(3, list("ACEF")), (5, list("BDF"))]
+        )
+        kernel = ColumnarKernel(db)
+        sales = kernel.make_sales()
+        r = sales
+        while len(r):
+            r_prime = kernel.merge_extend(r, sales)
+            order = np.lexsort((r_prime.keys, r_prime.tids))
+            assert (order == np.arange(len(r_prime))).all(), r_prime.k
+            _, _, r = kernel.count_and_filter(r_prime, 2)
+
+    def test_empty_relation(self):
         db = TransactionDatabase([(1, ["A"]), (2, ["B"])])
         sales = sales_relation(db)
         r_prime = suffix_extend(sales, sales.index)
@@ -167,29 +199,91 @@ class TestSuffixExtend:
             suffix_extend(bare, sales.index)
 
 
-class TestPackedKeys:
-    def test_pack_unpack_roundtrip(self):
-        relation = InstanceRelation.from_rows(
-            [(1, 3, 7, 2), (2, 1, 1, 1)], k=3
+def _kernel_levels(db, threshold):
+    """Run the columnar kernel's loop by hand; every level's C_k keys."""
+    kernel = ColumnarKernel(db)
+    sales = kernel.make_sales()
+    levels = {}
+    r = sales
+    while len(r):
+        r_prime = kernel.merge_extend(r, sales)
+        _, c_k, r = kernel.count_and_filter(r_prime, threshold)
+        if c_k:
+            levels[r_prime.k] = c_k
+    return kernel, levels
+
+
+class TestPatternKeys:
+    def test_decode_walks_down_the_ranks(self):
+        """Every level's keys decode to exactly the tuple engine's C_k."""
+        db = TransactionDatabase(
+            [(tid, list("ABCDEFG")) for tid in range(1, 4)]
+            + [(4, list("ABCX")), (5, list("BCDY"))]
         )
-        keys = pack_keys(relation, base=10)
-        assert [unpack_key(key, 3, 10) for key in keys] == [
-            (3, 7, 2),
-            (1, 1, 1),
-        ]
+        kernel, levels = _kernel_levels(db, 2)
+        reference = setm(db, 2, measure_memory=False).count_relations
+        assert max(levels) == 7
+        for k, c_k in levels.items():
+            assert {
+                kernel.decode(key, k): count for key, count in c_k.items()
+            } == reference[k]
 
     def test_key_order_equals_pattern_order(self):
-        patterns = [(1, 9), (2, 1), (1, 2), (9, 9)]
-        relation = InstanceRelation.from_rows(
-            [(1, *pattern) for pattern in patterns], k=2
+        db = TransactionDatabase(
+            [(tid, list("ABCDE")) for tid in range(1, 3)]
+            + [(3, list("ACE")), (4, list("BDE"))]
         )
-        keys = pack_keys(relation, base=10)
-        assert sorted(range(4), key=keys.__getitem__) == sorted(
-            range(4), key=patterns.__getitem__
-        )
+        kernel, levels = _kernel_levels(db, 1)
+        for k, c_k in levels.items():
+            ordered = sorted(c_k)
+            assert [kernel.decode(key, k) for key in ordered] == sorted(
+                kernel.decode(key, k) for key in ordered
+            )
 
+    def test_decode_by_hand(self):
+        keys = PatternKeys(10)
+        keys.record(2, [12, 35, 37])
+        keys.record(3, [8, 25])  # (1, 2, 8) and (3, 7, 5)
+        assert keys.decode(7, 1) == (7,)
+        assert keys.decode(37, 2) == (3, 7)
+        assert keys.decode(8, 3) == (1, 2, 8)
+        assert keys.decode(25, 3) == (3, 7, 5)
+        assert keys.decode(16, 4) == (3, 7, 5, 6)
+        assert keys.parents(np.array([8, 25]), 3).tolist() == [12, 37]
+
+    def test_keys_that_would_wrap_raise_typed(self):
+        """One bound per level: len(F_k) * base must fit int64."""
+        base = 2**32
+        index = SalesIndex(
+            np.array([1, 2, 3], dtype=np.int64),
+            base,
+            run_lengths=[3],
+            trans_ids=[1],
+        )
+        r2 = InstanceRelation(
+            None,
+            None,
+            last_sid=np.array([1], dtype=np.int64),
+            keys=np.array([base + 2], dtype=np.int64),
+            k=2,
+            index=index,
+        )
+        # 2**31 frequent level-2 keys (a zero-stride view, no memory):
+        # ranks up to 2**31 times radix 2**32 pass 2**63.
+        frequent = np.broadcast_to(np.int64(base + 2), (2**31,))
+        with pytest.raises(KeySpaceError) as excinfo:
+            suffix_extend(r2, index, frequent)
+        assert isinstance(excinfo.value, ReproError)
+        sales = InstanceRelation.sales_from_columns(
+            index.items, base=base, run_lengths=[3], trans_ids=[1]
+        )
+        with pytest.raises(KeySpaceError):
+            suffix_extend(sales, sales.index)
+
+
+class TestPackedKeys:
     @pytest.mark.parametrize("via", ["auto", "sort", "hash"])
-    def test_count_strategies_agree(self, kernel_path, via):
+    def test_count_strategies_agree(self, via):
         keys = [5, 3, 5, 5, 3, 9]
         assert sorted(count_packed_keys(keys, via=via)) == [
             (3, 2),
@@ -197,13 +291,13 @@ class TestPackedKeys:
             (9, 1),
         ]
 
-    def test_count_empty(self, kernel_path):
+    def test_count_empty(self):
         assert count_packed_keys([], via="sort") == []
         assert count_packed_keys([], via="hash") == []
 
 
 class TestFilterByKeys:
-    def test_keeps_only_supported(self, kernel_path):
+    def test_keeps_only_supported(self):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         counts = dict(count_packed_keys(r_prime.keys, via="sort"))
@@ -215,13 +309,21 @@ class TestFilterByKeys:
         assert list(filtered.rows()) == [
             row
             for row in r_prime.rows()
-            if any(
-                unpack_key(key, 2, sales.index.base) == tuple(row[1:])
-                for key in supported
-            )
+            if row[1] * sales.index.base + row[2] in supported
         ]
 
-    def test_all_surviving_returns_same_object(self, kernel_path):
+    def test_accepts_a_sorted_key_array(self):
+        sales = sales_relation(small_db())
+        r_prime = suffix_extend(sales, sales.index)
+        supported = {int(r_prime.keys[0]), int(r_prime.keys[-1])}
+        by_set = filter_by_keys(r_prime, supported)
+        by_array = filter_by_keys(
+            r_prime, np.array(sorted(supported), dtype=np.int64)
+        )
+        assert list(by_array.rows()) == list(by_set.rows())
+        assert by_array.last_sid.tolist() == by_set.last_sid.tolist()
+
+    def test_all_surviving_returns_same_object(self):
         sales = sales_relation(small_db())
         r_prime = suffix_extend(sales, sales.index)
         everything = set(map(int, r_prime.keys))
@@ -232,16 +334,10 @@ class TestFilterByKeys:
         with pytest.raises(ValueError, match="packed-keys"):
             filter_by_keys(bare, {5})
 
-    def test_eager_relation_filters_via_with_keys(self):
-        relation = InstanceRelation.from_rows(
-            [(1, 3), (2, 5), (3, 3)], k=1
-        ).with_keys(base=10)
-        filtered = filter_by_keys(relation, {3})
-        assert list(filtered.rows()) == [(1, 3), (3, 3)]
 
 
 class TestTake:
-    def test_gathers_rows_and_derived_columns(self, kernel_path):
+    def test_gathers_rows_and_derived_columns(self):
         sales = sales_relation(small_db())
         taken = take(sales, [0, 2, 3])
         rows = list(sales.rows())
@@ -266,18 +362,3 @@ class TestCountSortedRows:
         rows = [(1, "A", "B"), (2, "A", "B"), (1, "A", "C")]
         rows.sort(key=lambda row: row[1:])
         assert count_sorted_rows(rows) == [(("A", "B"), 2), (("A", "C"), 1)]
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-class TestNumpyStdlibEquivalence:
-    """The two kernel paths are the same function."""
-
-    def test_suffix_extend_same_rows(self, monkeypatch):
-        db = small_db()
-        sales_np = sales_relation(db)
-        vectorized = suffix_extend(sales_np, sales_np.index)
-        monkeypatch.setattr(columns, "_np", None)
-        sales_py = sales_relation(db)
-        plain = suffix_extend(sales_py, sales_py.index)
-        assert list(vectorized.rows()) == list(plain.rows())
-        assert list(map(int, vectorized.keys)) == list(plain.keys)

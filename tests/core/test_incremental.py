@@ -15,6 +15,7 @@ nor the previous state.
 from __future__ import annotations
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -78,6 +79,10 @@ def _assert_identical(result, reference):
     assert result.unfiltered_item_counts == reference.unfiltered_item_counts
     assert result.iterations == reference.iterations
     assert result.support_threshold == reference.support_threshold
+
+
+def _level_maps(state):
+    return {k: state.level_counts(k) for k in state.levels}
 
 
 def _encode_base(baskets, root, chunk_rows, budget):
@@ -161,6 +166,103 @@ class TestDeltaEquivalence:
             finally:
                 dataset.close()
 
+    def test_wide_catalog_rank_shifts(self, tmp_path):
+        """Delta labels sort among the base's and a second deep core
+        turns frequent, so saved prefix ranks shift at every level."""
+        rng = random.Random(7)
+        base_labels = [f"l{2 * j:05d}" for j in range(3000)]
+        core = rng.sample(base_labels, 8)
+        baskets = [{label} for label in base_labels]
+        for i in range(300):
+            basket = set(rng.sample(base_labels, 5))
+            if i % 3 == 0:
+                basket |= set(core)
+            baskets.append(basket)
+        # New labels interleave with the old ones (odd numbers), and the
+        # second core mixes new and old labels.
+        new_labels = [f"l{2 * j + 1:05d}" for j in range(0, 3000, 25)]
+        second_core = rng.sample(new_labels, 4) + rng.sample(base_labels, 4)
+        deltas = []
+        for batch in range(2):
+            delta = []
+            for i in range(60):
+                basket = set(rng.sample(new_labels + base_labels, 4))
+                if i % 3 != 0:
+                    basket |= set(second_core)
+                if batch and i % 2:
+                    basket |= set(core)
+                delta.append(basket)
+            deltas.append(delta)
+
+        dataset, next_tid = _encode_base(baskets, tmp_path, 4096, None)
+        state_dir = tmp_path / "state"
+        try:
+            first = setm_incremental(
+                dataset, 40, state_dir=state_dir, measure_memory=False
+            )
+            assert first.max_pattern_length == 8
+            all_baskets = list(baskets)
+            recounted = []
+            for i, delta in enumerate(deltas):
+                path = tmp_path / f"delta{i}.basket"
+                next_tid = _write(delta, path, next_tid)
+                dataset.append_chunks(open_chunk_source(path))
+                all_baskets.extend(delta)
+                result = setm_incremental(
+                    dataset, 40, state_dir=state_dir, measure_memory=False
+                )
+                telemetry = result.extra["incremental"]
+                assert telemetry["mode"] == "delta"
+                recounted.extend(telemetry["recount_levels"])
+                prefix = TransactionDatabase(
+                    (tid, sorted(basket))
+                    for tid, basket in enumerate(all_baskets, start=1)
+                )
+                _assert_identical(
+                    result, setm(prefix, 40, measure_memory=False)
+                )
+            assert result.max_pattern_length == 8
+            # The second core's prefixes turned frequent: their base
+            # extensions were recounted through the ranked extend.
+            assert recounted
+        finally:
+            dataset.close()
+
+    def test_prefixes_that_drop_out_take_their_extensions_along(
+        self, tmp_path
+    ):
+        """A fractional threshold grows with the appends: a prefix
+        frequent over the base falls out, so its saved rank maps to -1
+        and every saved extension of it is dropped."""
+        base = [{"a", "b", "c"}] * 3 + [{"d", "e", "f"}] * 3 + [{"x"}] * 4
+        delta = [{"d", "e", "f"}] * 6 + [{"y"}] * 10
+        dataset, next_tid = _encode_base(base, tmp_path, 1024, None)
+        state_dir = tmp_path / "state"
+        try:
+            first = setm_incremental(
+                dataset, 0.3, state_dir=state_dir, measure_memory=False
+            )
+            assert ("a", "b", "c") in first.count_relations[3]
+            path = tmp_path / "delta.basket"
+            _write(delta, path, next_tid)
+            dataset.append_chunks(open_chunk_source(path))
+            result = setm_incremental(
+                dataset, 0.3, state_dir=state_dir, measure_memory=False
+            )
+            assert result.extra["incremental"]["mode"] == "delta"
+            prefix = TransactionDatabase(
+                (tid, sorted(basket))
+                for tid, basket in enumerate(base + delta, start=1)
+            )
+            _assert_identical(result, setm(prefix, 0.3, measure_memory=False))
+            assert ("a", "b", "c") not in result.count_relations[3]
+            assert ("d", "e", "f") in result.count_relations[3]
+            # The saved level-3 map dropped abc with its prefix ab.
+            state = MiningState.load(state_dir)
+            assert len(state.level_counts(3)) == 1
+        finally:
+            dataset.close()
+
     def test_plain_database_with_state_falls_back_to_full_mine(
         self, example_db, tmp_path
     ):
@@ -212,7 +314,7 @@ class TestStateRoundTrip:
         copy_dir = tmp_path / "copy"
         state.save(copy_dir)
         clone = MiningState.load(copy_dir)
-        assert clone.levels == state.levels
+        assert _level_maps(clone) == _level_maps(state)
         assert clone.labels == state.labels
         assert clone.support == state.support
         assert clone.support_is_absolute == state.support_is_absolute
@@ -230,6 +332,18 @@ class TestStateRoundTrip:
             MiningState.load(state_dir)
         assert excinfo.value.expected == incremental.STATE_VERSION
         assert excinfo.value.found == 99
+
+    def test_version_one_state_is_refused(self, tmp_path):
+        """Version-1 states packed whole patterns; their keys mean
+        something else now, so they are refused, never misread."""
+        state_dir = self._mined_state(tmp_path)
+        manifest = state_dir / "state.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = 1
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(StateVersionError) as excinfo:
+            MiningState.load(state_dir)
+        assert (excinfo.value.expected, excinfo.value.found) == (2, 1)
 
     def test_support_change_is_a_fingerprint_mismatch(self, tmp_path):
         state_dir = self._mined_state(tmp_path)
@@ -295,7 +409,7 @@ class TestCrashCleanup:
             assert list(state_dir.glob("*.tmp")) == []
             after = MiningState.load(state_dir)
             assert after.generation == before.generation
-            assert after.levels == before.levels
+            assert _level_maps(after) == _level_maps(before)
             # The untouched state still supports the delta re-mine.
             recovered = setm_incremental(
                 dataset, 0.3, state_dir=state_dir, measure_memory=False

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.columns as columns
 from repro.baselines.bruteforce import bruteforce
 from repro.core.rules import generate_rules
 from repro.core.setm import setm
@@ -136,21 +135,15 @@ class TestOptionsAndEdges:
         assert set(timings) == {stats.k for stats in result.iterations}
 
 
-class TestKernelPaths:
-    def test_stdlib_path_equivalent(self, monkeypatch, make_random_db):
-        db = make_random_db(31)
-        reference = setm(db, 0.05)
-        monkeypatch.setattr(columns, "_np", None)
-        assert_equivalent(reference, setm_columnar(db, 0.05))
+class TestWideCatalog:
+    def test_deep_patterns_over_a_wide_catalog(self):
+        """Deep patterns over a wide catalog stay in int64 keys.
 
-    def test_int64_overflow_falls_back_to_big_integers(self):
-        """Deep patterns over a wide catalog exceed 64-bit packing.
-
-        ~6,500 distinct items make the packing base large enough that
-        ``base ** 5`` overflows int64, while two duplicated 7-item
-        transactions drive the loop to ``k = 7`` — so the vectorized
-        path (when active) must hand over to Python's big integers
-        mid-run without changing a single count.
+        ~6,500 distinct items make the key radix large enough that
+        packing whole patterns (``base ** 5``) would overflow int64,
+        while two duplicated 7-item transactions drive the loop to
+        ``k = 7``.  Dense per-level keys stay below
+        ``len(F_k) * base`` and must not change a single count.
         """
         wide = [(i, [i]) for i in range(100, 6600)]
         deep_items = list(range(1, 8))
@@ -158,7 +151,7 @@ class TestKernelPaths:
             wide + [(9001, deep_items), (9002, deep_items)]
         )
         base = len(db.distinct_items()) + 1
-        assert base**5 > 2**63 - 1  # the guard really engages
+        assert base**5 > 2**63 - 1  # whole-pattern packing would wrap
         reference = setm(db, 2)
         candidate = setm_columnar(db, 2)
         assert_equivalent(reference, candidate)

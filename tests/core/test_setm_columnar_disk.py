@@ -34,19 +34,10 @@ TABLE62_BUDGET = 2 * 2**20
 #: everything R'_k-shaped on top of that.
 FIXED_RESIDENT_BYTES_PER_ROW = 48
 
-try:
-    import numpy  # noqa: F401
-
-    #: Large-side budget tolerance: 2x covers the per-partition working
-    #: copies (counting structure + filter output) on int64 ndarrays,
-    #: where a row really costs the _ROW_BYTES the engine prices.
-    BUDGET_TOLERANCE = 2
-except ImportError:  # pragma: no cover - exercised on numpy-less CI
-    #: Without numpy the stdlib path holds keys/sids as Python-int
-    #: lists: ~28 bytes per int object plus an 8-byte list slot, ~3.5x
-    #: the 16-byte/row costing the partition planner uses — so the same
-    #: working set legitimately traces ~3.5x larger.
-    BUDGET_TOLERANCE = 7
+#: Large-side budget tolerance: 2x covers the per-partition working
+#: copies (counting structure + filter output) on int64 ndarrays,
+#: where a row really costs the _ROW_BYTES the engine prices.
+BUDGET_TOLERANCE = 2
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +174,13 @@ class TestKeyDistributionDrift:
         )
 
 
-class TestOverflowFallback:
-    def test_big_key_iterations_spill_and_agree(self):
-        """Patterns deep enough that packed keys exceed 64 bits."""
+class TestWideCatalog:
+    def test_deep_wide_iterations_spill_and_agree(self):
+        """Patterns deep enough that whole-pattern packing would pass 64 bits."""
         import random
 
         rng = random.Random(0)
-        items = list(range(1, 3001))  # base 3001: 3001**7 > 2**63
+        items = list(range(1, 3001))  # base 3001: 3001**6 > 2**63
         transactions = [
             (tid, rng.sample(items, 10)) for tid in range(1, 41)
         ]
@@ -199,7 +190,7 @@ class TestOverflowFallback:
         ]
         db = TransactionDatabase(transactions)
         reference = setm(db, 0.25)
-        assert reference.max_pattern_length >= 8  # keys really overflow
+        assert reference.max_pattern_length >= 8
         budgeted = setm_columnar_disk(db, 0.25, memory_budget_bytes=16 * 1024)
         assert budgeted.extra["spill"]["max_partitions"] >= 2
         assert budgeted.same_patterns_as(reference)

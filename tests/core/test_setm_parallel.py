@@ -106,12 +106,12 @@ class TestDifferentialGrid:
         assert result.extra["parallel"]["start_method"] == "spawn"
 
 
-class TestBigKeyFallback:
-    def test_overflow_keys_travel_through_the_pool(self):
+class TestWideCatalog:
+    def test_deep_wide_keys_travel_through_the_pool(self):
         import random
 
         rng = random.Random(0)
-        items = list(range(1, 3001))  # base 3001: 3001**7 > 2**63
+        items = list(range(1, 3001))  # base 3001: 3001**6 > 2**63
         transactions = [
             (tid, rng.sample(items, 10)) for tid in range(1, 41)
         ]
@@ -121,7 +121,7 @@ class TestBigKeyFallback:
         ]
         db = TransactionDatabase(transactions)
         reference = setm(db, 0.25, measure_memory=False)
-        assert reference.max_pattern_length >= 8  # keys really overflow
+        assert reference.max_pattern_length >= 8
         result = setm_parallel(
             db, 0.25, workers=2, parallel_threshold=0, measure_memory=False
         )

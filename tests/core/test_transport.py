@@ -2,8 +2,8 @@
 
 Three suites back the zero-copy transport's acceptance criteria:
 
-* **conformance** — every transport × start method × engine (and the
-  big-key fallback) produces patterns and iteration statistics
+* **conformance** — every transport × start method × engine (and a
+  wide catalog) produces patterns and iteration statistics
   byte-identical to ``setm``, with the negotiated mode and
   bytes-moved/copies-avoided telemetry recorded honestly;
 * **leak audit** — a worker crash mid-count (injected through the
@@ -22,13 +22,13 @@ Three suites back the zero-copy transport's acceptance criteria:
 from __future__ import annotations
 
 import pickle
-from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import columns, partitioning
+from repro.core import columns
 from repro.core.columns import InstanceRelation
 from repro.core.partitioning import (
     PARTITION_PICKLE_VERSION,
@@ -54,8 +54,6 @@ from repro.core.transport import (
 )
 from repro.data.quest import QuestConfig, generate_quest_dataset
 from repro.errors import PartitionFormatError, ReproError, TransportError
-
-HAVE_NUMPY = partitioning._np is not None
 
 TRANSPORTS = ("pickle", "shm", "mmap", "auto")
 
@@ -85,12 +83,12 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def big_key_grid():
-    """A database whose packed keys overflow int64 (list-key fallback)."""
+def wide_grid():
+    """A 3,000-item catalog mined to k >= 8 (3001**8 would pass int64)."""
     import random
 
     rng = random.Random(0)
-    items = list(range(1, 3001))  # base 3001: 3001**7 > 2**63
+    items = list(range(1, 3001))  # base 3001: 3001**6 > 2**63
     transactions = [(tid, rng.sample(items, 10)) for tid in range(1, 41)]
     core = rng.sample(items, 8)
     transactions += [
@@ -98,7 +96,7 @@ def big_key_grid():
     ]
     db = TransactionDatabase(transactions)
     reference = setm(db, 0.25, measure_memory=False)
-    assert reference.max_pattern_length >= 8  # keys really overflow
+    assert reference.max_pattern_length >= 8
     return db, reference
 
 
@@ -136,7 +134,7 @@ class TestConformanceMatrix:
         else:
             assert block["task_bytes_inline"] > 0
             assert block["zero_copy_bytes"] == 0
-        if HAVE_NUMPY and expected in ("shm", "mmap"):
+        if expected in ("shm", "mmap"):
             assert block["zero_copy_bytes"] > 0
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -165,13 +163,13 @@ class TestConformanceMatrix:
         assert block["fallback_reason"] is None
         if expected == "shm":
             assert block["reply_bytes_shared"] > 0
-        if HAVE_NUMPY and expected == "mmap":
+        if expected == "mmap":
             assert block["zero_copy_bytes"] > 0
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_big_key_fallback(self, big_key_grid, transport):
-        """Arbitrary-precision keys ride every transport unchanged."""
-        db, reference = big_key_grid
+    def test_wide_catalog(self, wide_grid, transport):
+        """Deep patterns over a wide catalog ride every transport."""
+        db, reference = wide_grid
         result = setm_parallel(
             db,
             0.25,
@@ -183,9 +181,9 @@ class TestConformanceMatrix:
         assert result.same_patterns_as(reference)
         assert result.iterations == reference.iterations
 
-    def test_big_key_fallback_through_spill_mmap(self, big_key_grid):
-        """Big-key chunks decode straight off an mmap-ed spill file."""
-        db, reference = big_key_grid
+    def test_wide_catalog_through_spill_mmap(self, wide_grid):
+        """Wide-catalog chunks decode straight off an mmap-ed spill file."""
+        db, reference = wide_grid
         result = setm_spill_parallel(
             db,
             0.25,
@@ -332,17 +330,6 @@ class TestEnvelopes:
         )
         parts, shm_bytes = unpack_buffers(envelope)
         assert parts == [b"a", b"bb", b"ccc"]
-        assert shm_bytes == 0
-
-    def test_non_buffer_parts_force_inline(self):
-        """Big-key replies (Python int lists) never touch a segment."""
-        big_keys = [3001**9 + 5, 2**90]
-        envelope = pack_buffers(
-            [big_keys, b"tallies"], f"{SEGMENT_PREFIX}never_created_r0"
-        )
-        assert envelope[0] == "inline"
-        parts, shm_bytes = unpack_buffers(envelope)
-        assert parts == [big_keys, b"tallies"]
         assert shm_bytes == 0
 
     def test_shm_round_trip_drains_and_unlinks(self):
@@ -534,7 +521,7 @@ class TestDecodeBufferChunks:
     @settings(max_examples=60, deadline=None)
     @given(
         keys=st.lists(
-            st.integers(min_value=0, max_value=2**90),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
             min_size=1,
             max_size=64,
         )
@@ -548,12 +535,10 @@ class TestDecodeBufferChunks:
         assert [
             int(sid) for chunk in chunks for sid in chunk.last_sid
         ] == list(range(len(keys)))
-        assert 0 <= zero_copy <= 16 * len(keys)
+        assert zero_copy == 16 * len(keys)
         del chunks  # views die before the buffer does
 
     def test_int64_columns_are_views_not_copies(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
         keys = list(range(100))
         blob = _relation(keys).to_chunk_bytes()
         chunks, zero_copy = decode_buffer_chunks(blob)
@@ -562,34 +547,11 @@ class TestDecodeBufferChunks:
             assert not chunk.keys.flags.owndata  # frombuffer view
             assert not chunk.last_sid.flags.owndata
 
-    def test_stdlib_path_copies_and_credits_nothing(self, monkeypatch):
-        monkeypatch.setattr(partitioning, "_np", None)
-        keys = [5, 9, 9, 12]
-        blob = _relation(keys).to_chunk_bytes()
-        chunks, zero_copy = decode_buffer_chunks(memoryview(blob))
-        assert zero_copy == 0
-        assert [
-            int(key) for chunk in chunks for key in chunk.keys
-        ] == keys
-
 
 class TestSurvivorColumnsAreBuffers:
-    """Satellite: ``last_sid`` round-trips as a buffer on both paths."""
+    """Satellite: ``last_sid`` round-trips as a flat int64 buffer."""
 
-    def test_stdlib_filter_emits_array_q(self, monkeypatch):
-        monkeypatch.setattr(columns, "_np", None)
-        relation = _relation([5, 9, 9, 12, 5])
-        survivors = columns.filter_by_keys(relation, {9, 12})
-        assert isinstance(survivors.last_sid, array)
-        assert survivors.last_sid.typecode == "q"
-        assert columns._int64_column_bytes(survivors.last_sid) == (
-            survivors.last_sid.tobytes()
-        )
-
-    def test_numpy_filter_emits_int64_ndarray(self):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-        np = columns._np
+    def test_filter_emits_int64_ndarray(self):
         relation = InstanceRelation(
             None,
             None,
@@ -600,6 +562,7 @@ class TestSurvivorColumnsAreBuffers:
         )
         survivors = columns.filter_by_keys(relation, {9, 12})
         assert survivors.last_sid.dtype == np.int64
-        assert columns._int64_column_bytes(survivors.last_sid) == (
-            survivors.last_sid.tobytes()
-        )
+        assert survivors.last_sid.tolist() == [1, 2, 3]
+        assert np.frombuffer(
+            survivors.last_sid.tobytes(), dtype=np.int64
+        ).tolist() == [1, 2, 3]

@@ -30,6 +30,7 @@ engine *should* reproduce SETM's trace:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import pytest
@@ -193,6 +194,32 @@ GRID_MINSUPS = (0.02, 0.05)
 
 ENGINE_NAMES = [spec.name for spec in engine_specs()]
 
+#: The wide-catalog row: support threshold, and the spill budget that
+#: still forces >= 2 partitions there without dozens of tiny files.
+WIDE_MINSUP = 0.07
+_WIDE_SPILL_BUDGET = 64 * 1024
+
+
+def _wide_db() -> TransactionDatabase:
+    """3,007 distinct items over 402 transactions, one 7-item core.
+
+    Every other item occurs exactly once (in baskets of eight), and the
+    core rides in 30 baskets, so the frequent patterns are the core's
+    127 subsets, up to ``k = 7``.  With radix 3,008, packing a whole
+    7-pattern into one integer would need ``3008**7 > 2**63``; the
+    columnar kernels' per-level keys stay far below int64.
+    """
+    rng = random.Random(3)
+    items = list(range(1, 3008))
+    rng.shuffle(items)
+    core, rest = items[:7], items[7:]
+    baskets = [rest[i : i + 8] for i in range(0, 2970, 8)]
+    baskets += [core + [item] for item in rest[2970:]]
+    rng.shuffle(baskets)
+    return TransactionDatabase(
+        (tid, basket) for tid, basket in enumerate(baskets, start=1)
+    )
+
 
 def _grid_db(seed: int) -> TransactionDatabase:
     return generate_quest_dataset(
@@ -230,12 +257,25 @@ def _row(name: str) -> ConformanceRow:
     return row
 
 
-def _run(name: str, database, minsup: float):
+def _run(name: str, database, minsup: float, *, budget: int | None = None):
     spec = get_engine(name)
     options = dict(_row(name).options)
+    if budget is not None and "memory_budget_bytes" in options:
+        options["memory_budget_bytes"] = budget
     if spec.accepted_options and "measure_memory" in spec.accepted_options:
         options["measure_memory"] = False
     return spec, spec.run(database, minsup, options=options)
+
+
+@pytest.fixture(scope="module")
+def wide_references():
+    """The wide-catalog database with its oracle and ``setm`` reference."""
+    db = _wide_db()
+    return (
+        db,
+        bruteforce(db, WIDE_MINSUP),
+        setm(db, WIDE_MINSUP, measure_memory=False),
+    )
 
 
 class TestRegistryCoverage:
@@ -342,6 +382,24 @@ class TestConformanceMatrix:
         oracle = bruteforce(small_retail_db, 0.02)
         _, result = _run(name, small_retail_db, 0.02)
         assert result.same_patterns_as(oracle), name
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_wide_catalog(self, name, wide_references):
+        """Over 3,000 items and patterns up to k = 7, every engine —
+        spill and pool paths included — agrees with the oracle, and the
+        Figure-4 engines reproduce ``setm``'s trace."""
+        db, oracle, reference = wide_references
+        assert len(db.distinct_items()) >= 3000
+        assert reference.max_pattern_length == 7
+        row = _row(name)
+        _, result = _run(name, db, WIDE_MINSUP, budget=_WIDE_SPILL_BUDGET)
+        assert result.same_patterns_as(oracle), name
+        if row.iterations == "exact":
+            assert result.iterations == reference.iterations, name
+        if "memory_budget_bytes" in row.options:
+            assert result.extra["spill"]["max_partitions"] >= 2, name
+        if row.options.get("workers", 1) > 1:
+            assert result.extra["parallel"]["parallel_iterations"], name
 
     def test_sql_engines_agree_on_larger_quest_data(self):
         """400-transaction QUEST workload for the SQL engines (their
@@ -460,12 +518,12 @@ class TestDeltaTier:
 
     _CUTS = (0, 90, 120, None)  # base 90 txns, then 30-txn + tail appends
 
-    def _splits(self, tmp_path):
-        db = _grid_db(0)
+    def _splits(self, tmp_path, db=None, cuts=_CUTS):
+        db = _grid_db(0) if db is None else db
         txns = list(db)
         paths = []
-        for i in range(len(self._CUTS) - 1):
-            lo, hi = self._CUTS[i], self._CUTS[i + 1]
+        for i in range(len(cuts) - 1):
+            lo, hi = cuts[i], cuts[i + 1]
             part = TransactionDatabase(
                 (txn.trans_id, txn.items) for txn in txns[lo:hi]
             )
@@ -477,7 +535,15 @@ class TestDeltaTier:
     @pytest.mark.parametrize("name", sorted(DELTA_CONFORMANCE))
     @pytest.mark.parametrize("minsup", GRID_MINSUPS)
     def test_delta_remine_matches_full_remine(self, name, minsup, tmp_path):
-        db, paths = self._splits(tmp_path)
+        self._check_delta(name, minsup, *self._splits(tmp_path), tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_CONFORMANCE))
+    def test_delta_remine_on_wide_catalog(self, name, tmp_path):
+        """Appends grow the 3,000-item catalog between saved levels."""
+        db, paths = self._splits(tmp_path, _wide_db(), (0, 240, 320, None))
+        self._check_delta(name, WIDE_MINSUP, db, paths, tmp_path)
+
+    def _check_delta(self, name, minsup, db, paths, tmp_path):
         spec = get_engine(name)
         options = dict(DELTA_CONFORMANCE[name].options)
         options["state_dir"] = str(tmp_path / "state")
